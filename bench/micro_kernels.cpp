@@ -151,17 +151,20 @@ void BM_GemmU8Packed(benchmark::State& state, exec::kernels_simd::KernelTier tie
 }
 
 void BM_Im2colU8(benchmark::State& state) {
-    // conv2 of the mini networks: 32×32 input, 64 channels, 3×3, pad 1.
-    const tensor::Shape s{8, 64, 32, 32};
-    const std::size_t rows = 64 * 3 * 3;
-    const std::size_t cols = static_cast<std::size_t>(s.n) * 32 * 32;
+    // 3×3, pad-1 input of shape [n, c, hw, hw] (Args below).
+    const int hw = static_cast<int>(state.range(2));
+    const tensor::Shape s{static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
+                          hw, hw};
+    const std::size_t rows = static_cast<std::size_t>(s.c) * 3 * 3;
+    const std::size_t cols = static_cast<std::size_t>(s.n) * static_cast<std::size_t>(hw * hw);
     std::vector<std::uint8_t> qx(s.size());
     std::vector<std::uint8_t> columns(rows * cols);
     common::Rng rng(11);
     for (auto& v : qx) v = static_cast<std::uint8_t>(rng.next_u64());
     for (auto _ : state) {
-        exec::kernels::im2col_u8(qx.data(), s, 3, 3, 1, 1, columns.data(), 32, 32, true);
+        exec::kernels::im2col_u8(qx.data(), s, 3, 3, 1, 1, columns.data(), hw, hw, true);
         benchmark::DoNotOptimize(columns.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
     state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
@@ -201,7 +204,9 @@ const int kRegisterTierBenches = [] {
     return 0;
 }();
 
-BENCHMARK(BM_Im2colU8);
+// A wide plane (8×64×32×32), and alexnet-mini's c4 input at the batch-100
+// evaluation (100×48×4×4): the narrow planes every mini-network conv has.
+BENCHMARK(BM_Im2colU8)->Args({8, 64, 32})->Args({100, 48, 4});
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm)->Name("BM_FloatGemm/nn");
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm_at)->Name("BM_FloatGemm/at");
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm_bt)->Name("BM_FloatGemm/bt");

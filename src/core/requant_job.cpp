@@ -21,19 +21,20 @@ MethodSearchResult search_methods(const ir::Graph& graph, const quant::QuantConf
     // Every candidate method runs through one shared execution plan —
     // only the quantization payload is rebound, so the schedule, arena
     // and conv workspaces are compiled once (and, via the PlanCache,
-    // shared with every other search over this topology). The runner
-    // pins each bound graph itself (owning rebind).
+    // shared with every other search over this topology). LAPQ's
+    // calibration probes run on the same runner, so a search holds one
+    // plan workspace, not two. The runner pins each bound graph itself
+    // (owning rebind).
     std::unique_ptr<quant::QuantRunner> runner;
     const quant::EvalOptions eval_options;
     for (const quant::Method method : quant::all_methods()) {
         auto qgraph = std::make_shared<const quant::QuantizedGraph>(
-            quant::quantize_graph(graph, method, config, calib));
+            quant::quantize_graph(graph, method, config, calib, runner.get()));
         if (!runner)
             runner = std::make_unique<quant::QuantRunner>(
-                std::move(qgraph),
-                std::min(eval_options.batch_size, eval_images.shape.n));
+                qgraph, std::min(eval_options.batch_size, eval_images.shape.n));
         else
-            runner->rebind(std::move(qgraph));
+            runner->rebind(qgraph);
         const double acc =
             quant::quantized_accuracy(*runner, eval_images, eval_labels, eval_options);
         MethodOutcome outcome;
@@ -41,18 +42,17 @@ MethodSearchResult search_methods(const ir::Graph& graph, const quant::QuantConf
         outcome.accuracy = acc;
         outcome.accuracy_loss = 100.0 * (fp32_accuracy - acc);
         result.all_methods.push_back(outcome);
-        if (!have_best || acc > result.accuracy) {
-            result.accuracy = acc;
-            result.selected = method;
-            have_best = true;
-        }
         // Algorithm 1 line 9: stop at the first method meeting the
         // user-provided accuracy-loss threshold.
-        if (accuracy_loss_threshold && outcome.accuracy_loss <= *accuracy_loss_threshold) {
+        const bool meets_threshold =
+            accuracy_loss_threshold && outcome.accuracy_loss <= *accuracy_loss_threshold;
+        if (!have_best || acc > result.accuracy || meets_threshold) {
             result.accuracy = acc;
             result.selected = method;
-            break;
+            result.qgraph = std::move(qgraph);
+            have_best = true;
         }
+        if (meets_threshold) break;
     }
     return result;
 }
@@ -88,18 +88,20 @@ std::optional<ModelState> RequantJob::build(double dvth_mv,
     if (!choice) return std::nullopt;
 
     const auto qconfig = quant::QuantConfig::from_compression(choice->compression);
-    quant::Method method = quant::Method::M5_AciqNoBias;
-    if (config_.full_algorithm1)
-        method = search_methods(*graph_, qconfig, *calib_, *eval_images_, *eval_labels_,
-                                fp32_accuracy_, config_.accuracy_loss_threshold)
-                     .selected;
-
     ModelState state;
+    if (config_.full_algorithm1) {
+        MethodSearchResult search =
+            search_methods(*graph_, qconfig, *calib_, *eval_images_, *eval_labels_,
+                           fp32_accuracy_, config_.accuracy_loss_threshold);
+        state.method = search.selected;
+        state.qgraph = std::move(search.qgraph);
+    } else {
+        state.method = quant::Method::M5_AciqNoBias;
+        state.qgraph = std::make_shared<const quant::QuantizedGraph>(
+            quant::quantize_graph(*graph_, state.method, qconfig, *calib_));
+    }
     state.generation = generation;
-    state.qgraph = std::make_shared<const quant::QuantizedGraph>(
-        quant::quantize_graph(*graph_, method, qconfig, *calib_));
     state.compression = choice->compression;
-    state.method = method;
     state.dvth_mv = dvth_mv;
     state.aged_delay_ps = choice->delay_ps;
     return state;

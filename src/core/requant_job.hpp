@@ -18,6 +18,7 @@
 // ExecPlans.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -37,6 +38,8 @@ struct MethodOutcome {
 struct MethodSearchResult {
     quant::Method selected = quant::Method::M5_AciqNoBias;
     double accuracy = 0.0;  ///< of the selected method
+    /// The selected method's graph, exactly as the search built and scored it.
+    std::shared_ptr<const quant::QuantizedGraph> qgraph;
     std::vector<MethodOutcome> all_methods;  ///< every evaluated method
 };
 
@@ -73,6 +76,8 @@ public:
 
     /// Build the artifact for one aging level, stamping `generation`.
     /// Returns nullopt when even full compression cannot meet timing.
+    /// Full Algorithm 1 deploys the search's own winning graph (the one it
+    /// scored) rather than quantizing that method a second time.
     [[nodiscard]] std::optional<ModelState> build(double dvth_mv,
                                                   std::uint64_t generation) const;
 

@@ -97,61 +97,108 @@ void concat(const std::vector<ConcatInput>& ins, const tensor::Shape& out_shape,
 
 namespace {
 
+/// Moves bytes [0, n) as two Word-sized moves that overlap when n < 2·|Word|;
+/// needs |Word| ≤ n ≤ 2·|Word|.
+template <typename Word>
+void move_two_words(unsigned char* d, const unsigned char* s, std::size_t n) {
+    Word head;
+    Word tail;
+    std::memcpy(&head, s, sizeof(Word));
+    std::memcpy(&tail, s + n - sizeof(Word), sizeof(Word));
+    std::memcpy(d, &head, sizeof(Word));
+    std::memcpy(d + n - sizeof(Word), &tail, sizeof(Word));
+}
+
+/// Copies `n` elements. A run of at most 16 bytes — any row of the ≤ 16-wide
+/// u8 planes the mini networks reach — is moved inline without writing
+/// past its end; longer runs go to memcpy.
+template <typename T>
+void copy_run(T* dst, const T* src, std::size_t n) {
+    const std::size_t bytes = n * sizeof(T);
+    auto* d = reinterpret_cast<unsigned char*>(dst);
+    const auto* s = reinterpret_cast<const unsigned char*>(src);
+    if (bytes > 16)
+        std::memcpy(d, s, bytes);
+    else if (bytes >= 8)
+        move_two_words<std::uint64_t>(d, s, bytes);
+    else if (bytes >= 4)
+        move_two_words<std::uint32_t>(d, s, bytes);
+    else if (bytes >= 2)
+        move_two_words<std::uint16_t>(d, s, bytes);
+    else if (bytes == 1)
+        *d = *s;
+}
+
+/// First output index o whose input index o·stride − pad + k is at least
+/// `edge`, clamped to [0, out]: ceil((edge + pad − k) / stride).
+int first_at_or_past(int edge, int pad, int k, int stride, int out) {
+    const int num = edge + pad - k;
+    return std::min(out, num > 0 ? (num + stride - 1) / stride : 0);
+}
+
 template <typename T>
 void im2col_impl(const T* in, const tensor::Shape& s, int kh, int kw, int stride, int pad,
                  T* columns, int oh, int ow, bool zero_first) {
-    const std::size_t rows = static_cast<std::size_t>(s.c) * static_cast<std::size_t>(kh) *
-                             static_cast<std::size_t>(kw);
-    const std::size_t cols = static_cast<std::size_t>(s.n) * static_cast<std::size_t>(oh) *
-                             static_cast<std::size_t>(ow);
+    const std::size_t taps = static_cast<std::size_t>(kh) * static_cast<std::size_t>(kw);
+    const std::size_t out_plane = static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
+    const std::size_t in_plane = static_cast<std::size_t>(s.h) * static_cast<std::size_t>(s.w);
+    const std::size_t sample_step = static_cast<std::size_t>(s.c) * in_plane;
+    const std::size_t cols = static_cast<std::size_t>(s.n) * out_plane;
+    const std::size_t rows = static_cast<std::size_t>(s.c) * taps;
     if (zero_first) std::memset(columns, 0, rows * cols * sizeof(T));
-    for (int n = 0; n < s.n; ++n)
-        for (int c = 0; c < s.c; ++c)
-            for (int ky = 0; ky < kh; ++ky)
-                for (int kx = 0; kx < kw; ++kx) {
-                    const std::size_t row =
-                        (static_cast<std::size_t>(c) * static_cast<std::size_t>(kh) +
-                         static_cast<std::size_t>(ky)) *
-                            static_cast<std::size_t>(kw) +
-                        static_cast<std::size_t>(kx);
-                    // The in-bounds ox values form one contiguous run:
-                    // ix = ox·stride − pad + kx ∈ [0, w) ⇔ ox ∈ [lo, hi).
-                    // Hoisting the bounds out of the inner loop turns the
-                    // stride-1 case into a straight memcpy per row and the
-                    // strided case into a branch-free gather — the same
-                    // elements are written either way.
-                    const int over = s.w + pad - kx;  // exclusive ix bound, ox domain
-                    const int ox_lo =
-                        std::min(ow, std::max(0, (pad - kx + stride - 1) / stride));
-                    const int ox_hi = std::max(
-                        ox_lo, std::min(ow, over > 0 ? (over + stride - 1) / stride : 0));
-                    if (ox_lo >= ox_hi) continue;
-                    for (int oy = 0; oy < oh; ++oy) {
-                        const int iy = oy * stride - pad + ky;
-                        if (iy < 0 || iy >= s.h) continue;
-                        const std::size_t col_base =
-                            (static_cast<std::size_t>(n) * static_cast<std::size_t>(oh) +
-                             static_cast<std::size_t>(oy)) *
-                            static_cast<std::size_t>(ow);
-                        T* dst = columns + row * cols + col_base;
-                        const std::size_t in_base =
-                            ((static_cast<std::size_t>(n) * static_cast<std::size_t>(s.c) +
-                              static_cast<std::size_t>(c)) *
-                                 static_cast<std::size_t>(s.h) +
-                             static_cast<std::size_t>(iy)) *
-                            static_cast<std::size_t>(s.w);
-                        const T* src = in + in_base;
-                        const int ix_lo = ox_lo * stride - pad + kx;  // ≥ 0 by ox_lo
+    const auto src_step = static_cast<std::size_t>(stride);
+    const std::size_t src_row_step = src_step * static_cast<std::size_t>(s.w);
+    // Loop order: kernel tap (ky, kx), then channel, then sample, then
+    // output row. Row (c·kh + ky)·kw + kx of the column matrix is laid out
+    // [n][oy][ox]; for one tap the in-bounds outputs of every (sample,
+    // channel) plane form the same rectangle [oy_lo, oy_hi) × [ox_lo,
+    // ox_hi), because iy = oy·stride − pad + ky ∈ [0, h) and ix = ox·stride
+    // − pad + kx ∈ [0, w) are each one contiguous range. So the bounds and
+    // both plane offsets are computed once per tap, and the channel and
+    // sample loops only advance pointers.
+    std::size_t tap = 0;  // ky·kw + kx
+    for (int ky = 0; ky < kh; ++ky)
+        for (int kx = 0; kx < kw; ++kx, ++tap) {
+            const int oy_lo = first_at_or_past(0, pad, ky, stride, oh);
+            const int oy_hi = std::max(oy_lo, first_at_or_past(s.h, pad, ky, stride, oh));
+            const int ox_lo = first_at_or_past(0, pad, kx, stride, ow);
+            const int ox_hi = std::max(ox_lo, first_at_or_past(s.w, pad, kx, stride, ow));
+            if (oy_lo == oy_hi || ox_lo == ox_hi) continue;
+            int n_rows = oy_hi - oy_lo;
+            auto run = static_cast<std::size_t>(ox_hi - ox_lo);
+            // Stride 1 with the whole input row in bounds (a 1×1 pad-0
+            // conv, or a "same"-padded kernel's centre column): source and
+            // destination rows are both contiguous, so each plane's
+            // rectangle is a single run.
+            if (stride == 1 && run == static_cast<std::size_t>(ow) &&
+                run == static_cast<std::size_t>(s.w)) {
+                run *= static_cast<std::size_t>(n_rows);
+                n_rows = 1;
+            }
+            const std::size_t dst_offset =
+                static_cast<std::size_t>(oy_lo) * static_cast<std::size_t>(ow) +
+                static_cast<std::size_t>(ox_lo);
+            const std::size_t src_offset =
+                static_cast<std::size_t>(oy_lo * stride - pad + ky) *
+                    static_cast<std::size_t>(s.w) +
+                static_cast<std::size_t>(ox_lo * stride - pad + kx);
+            for (int c = 0; c < s.c; ++c) {
+                T* dst = columns + (static_cast<std::size_t>(c) * taps + tap) * cols +
+                         dst_offset;
+                const T* src = in + static_cast<std::size_t>(c) * in_plane + src_offset;
+                for (int n = 0; n < s.n; ++n, dst += out_plane, src += sample_step) {
+                    T* d = dst;
+                    const T* r = src;
+                    for (int oy = 0; oy < n_rows; ++oy, d += ow, r += src_row_step) {
                         if (stride == 1) {
-                            std::memcpy(dst + ox_lo, src + ix_lo,
-                                        static_cast<std::size_t>(ox_hi - ox_lo) * sizeof(T));
+                            copy_run(d, r, run);
                         } else {
-                            int ix = ix_lo;
-                            for (int ox = ox_lo; ox < ox_hi; ++ox, ix += stride)
-                                dst[ox] = src[ix];
+                            for (std::size_t i = 0; i < run; ++i) d[i] = r[i * src_step];
                         }
                     }
                 }
+            }
+        }
 }
 
 }  // namespace

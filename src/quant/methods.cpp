@@ -230,7 +230,7 @@ std::vector<Method> all_methods() {
 }
 
 QuantizedGraph quantize_graph(const ir::Graph& graph, Method method, const QuantConfig& config,
-                              const CalibrationData& calib) {
+                              const CalibrationData& calib, QuantRunner* runner) {
     if (calib.per_tensor.size() != static_cast<std::size_t>(graph.num_tensors()))
         throw std::invalid_argument("quantize_graph: calibration does not match graph");
 
@@ -241,15 +241,17 @@ QuantizedGraph quantize_graph(const ir::Graph& graph, Method method, const Quant
         // Every probe shares one runner: the plan and all scratch buffers
         // are compiled once, only the quantization payload is rebound
         // (owning rebind — the runner pins each probe graph itself).
-        std::unique_ptr<QuantRunner> runner;
+        std::unique_ptr<QuantRunner> own_runner;
         const auto probe_loss = [&](double ma, double mw) {
             auto probe = std::make_shared<const QuantizedGraph>(
                 build_scaled(graph, config, calib, ma, mw));
-            if (!runner)
-                runner =
+            if (!runner) {
+                own_runner =
                     std::make_unique<QuantRunner>(std::move(probe), calib.images.shape().n);
-            else
+                runner = own_runner.get();
+            } else {
                 runner->rebind(std::move(probe));
+            }
             return calib_loss(runner->run(calib.images), calib);
         };
         const double grid[] = {0.6, 0.8, 1.0, 1.3, 1.7};
@@ -261,10 +263,12 @@ QuantizedGraph quantize_graph(const ir::Graph& graph, Method method, const Quant
                 best_w = mw;
             }
         }
+        // The weight grid already probed (1.0, best_w): its loss is best_loss.
+        const double unit_a_loss = best_loss;
         double best_a = 1.0;
         best_loss = 1e300;
         for (const double ma : grid) {
-            const double loss = probe_loss(ma, best_w);
+            const double loss = ma == 1.0 ? unit_a_loss : probe_loss(ma, best_w);
             if (loss < best_loss) {
                 best_loss = loss;
                 best_a = ma;

@@ -30,11 +30,17 @@ enum class Method {
 [[nodiscard]] const char* method_name(Method m);   // human-readable
 [[nodiscard]] std::vector<Method> all_methods();
 
+class QuantRunner;
+
 /// Quantize the FP32 graph with the chosen method under the given
-/// bit-width configuration.
+/// bit-width configuration. LAPQ (M3) runs its calibration probes on
+/// `runner` when given (any runner over this graph's topology; it is left
+/// bound to the last probe), so a caller that already holds one pays for
+/// no second plan workspace; otherwise it builds its own.
 [[nodiscard]] QuantizedGraph quantize_graph(const ir::Graph& graph, Method method,
                                             const QuantConfig& config,
-                                            const CalibrationData& calib);
+                                            const CalibrationData& calib,
+                                            QuantRunner* runner = nullptr);
 
 /// ACIQ's analytic optimal clip for a Laplace(b) distribution quantized
 /// with 2^bits levels over [-clip, clip]: minimizes clipping + rounding

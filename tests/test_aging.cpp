@@ -90,8 +90,8 @@ TEST(AgingModel, StandardLevelsMatchPaper) {
 
 TEST(AgingModel, RejectsInvalidInputs) {
     const AgingModel model;
-    EXPECT_THROW(model.dvth_mv(-1.0), std::invalid_argument);
-    EXPECT_THROW(model.years_for_dvth(-5.0), std::invalid_argument);
+    EXPECT_THROW((void)model.dvth_mv(-1.0), std::invalid_argument);
+    EXPECT_THROW((void)model.years_for_dvth(-5.0), std::invalid_argument);
     AgingParams bad;
     bad.eol_years = 0.0;
     EXPECT_THROW(AgingModel{bad}, std::invalid_argument);

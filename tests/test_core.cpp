@@ -10,6 +10,7 @@
 #include "netlist/builders.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
+#include "quant/methods.hpp"
 
 namespace {
 
@@ -117,8 +118,9 @@ TEST_F(Selector, LifetimeSchedulerReproducesGuardband) {
     for (const auto& point : schedule) {
         ASSERT_TRUE(point.ours_feasible) << point.dvth_mv;
         EXPECT_LE(point.ours_normalized_delay, 1.0 + 1e-9) << point.dvth_mv;
-        if (point.dvth_mv > 0.0)
+        if (point.dvth_mv > 0.0) {
             EXPECT_GT(point.baseline_normalized_delay, 1.0) << point.dvth_mv;
+        }
     }
 }
 
@@ -251,6 +253,31 @@ TEST(RequantJobTest, BuildsVersionedStatesMatchingAlgorithmOne) {
     const auto reference = quantizer.run(in, 30.0);
     EXPECT_EQ(full_state->method, reference.selected_method);
     EXPECT_NEAR(full.fp32_accuracy(), reference.fp32_accuracy, 1e-12);
+
+    // The deployed graph is the search's own winner, and it is exactly what
+    // quantizing the selected method afresh produces.
+    ASSERT_NE(full_state->qgraph, nullptr);
+    const quant::QuantizedGraph requantized = quant::quantize_graph(
+        graph, full_state->method,
+        quant::QuantConfig::from_compression(full_state->compression), calib);
+    const auto same_params = [](const quant::QuantParams& a, const quant::QuantParams& b) {
+        return a.scale == b.scale && a.zero_point == b.zero_point && a.bits == b.bits;
+    };
+    int convs = 0;
+    for (std::size_t i = 0; i < graph.ops().size(); ++i) {
+        if (graph.ops()[i].kind != ir::OpKind::Conv2d) continue;
+        ++convs;
+        const quant::QConv& got = full_state->qgraph->conv(i);
+        const quant::QConv& want = requantized.conv(i);
+        EXPECT_EQ(got.qweights, want.qweights) << "conv op " << i;
+        EXPECT_EQ(got.qbias, want.qbias) << "conv op " << i;
+        EXPECT_TRUE(same_params(got.act, want.act)) << "conv op " << i;
+        ASSERT_EQ(got.weight_q.size(), want.weight_q.size()) << "conv op " << i;
+        for (std::size_t q = 0; q < want.weight_q.size(); ++q)
+            EXPECT_TRUE(same_params(got.weight_q[q], want.weight_q[q]))
+                << "conv op " << i << " weight_q " << q;
+    }
+    EXPECT_GT(convs, 0);
 }
 
 }  // namespace

@@ -116,8 +116,9 @@ TEST(IrGraph, ResnetExportContainsAddsAndFoldsBn) {
         adds += (op.kind == ir::OpKind::Add);
         // BN folding leaves no standalone batchnorm-ish op kinds; every
         // conv must carry a bias vector.
-        if (op.kind == ir::OpKind::Conv2d)
+        if (op.kind == ir::OpKind::Conv2d) {
             EXPECT_EQ(op.bias.size(), static_cast<std::size_t>(op.conv.out_c));
+        }
     }
     EXPECT_EQ(adds, 9);  // 3 stages x 3 basic blocks
 }
@@ -130,7 +131,7 @@ TEST(Calibration, StatsAreConsistent) {
     EXPECT_FLOAT_EQ(s.mean, 2.5f);
     EXPECT_FLOAT_EQ(s.abs_dev, 1.0f);
     EXPECT_NEAR(s.stddev, std::sqrt(1.25f), 1e-5);
-    EXPECT_THROW(quant::compute_stats(xs.data(), 0), std::invalid_argument);
+    EXPECT_THROW((void)quant::compute_stats(xs.data(), 0), std::invalid_argument);
 }
 
 TEST(Calibration, CoversEveryTensorOfTheGraph) {

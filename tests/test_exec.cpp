@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "exec/engine.hpp"
+#include "exec/kernels.hpp"
 #include "exec/kernels_simd.hpp"
 #include "exec/plan_cache.hpp"
 #include "exec/quant_backend.hpp"
@@ -428,6 +429,68 @@ TEST(ExecSimd, KernelFamiliesMatchScalarOnOddShapes) {
                         << " j=" << j;
         }
     }
+}
+
+/// im2col against a per-element walk of the column matrix. The output
+/// starts as `poison`, and zero_first is set only when pad > 0 (as
+/// ExecPlan does), so a slot the kernel leaves unwritten fails.
+template <typename T, typename Im2col>
+void expect_im2col_matches_reference(Im2col im2col, const std::vector<T>& in,
+                                     const tensor::Shape& s, int kh, int kw, int stride,
+                                     int pad, T poison) {
+    const int oh = (s.h + 2 * pad - kh) / stride + 1;
+    const int ow = (s.w + 2 * pad - kw) / stride + 1;
+    const std::size_t cols = static_cast<std::size_t>(s.n * oh * ow);
+    std::vector<T> got(static_cast<std::size_t>(s.c * kh * kw) * cols, poison);
+    im2col(in.data(), s, kh, kw, stride, pad, got.data(), oh, ow, pad > 0);
+    std::size_t slot = 0;
+    for (int c = 0; c < s.c; ++c)
+        for (int ky = 0; ky < kh; ++ky)
+            for (int kx = 0; kx < kw; ++kx)
+                for (int n = 0; n < s.n; ++n)
+                    for (int oy = 0; oy < oh; ++oy)
+                        for (int ox = 0; ox < ow; ++ox, ++slot) {
+                            const int iy = oy * stride - pad + ky;
+                            const int ix = ox * stride - pad + kx;
+                            const bool inside = iy >= 0 && iy < s.h && ix >= 0 && ix < s.w;
+                            const T want =
+                                inside ? in[static_cast<std::size_t>(
+                                             ((n * s.c + c) * s.h + iy) * s.w + ix)]
+                                       : T{0};
+                            ASSERT_EQ(got[slot], want)
+                                << "n=" << s.n << " c=" << s.c << " plane " << s.h << "x"
+                                << s.w << " kernel " << kh << "x" << kw << " stride "
+                                << stride << " pad " << pad << " at c=" << c
+                                << " ky=" << ky << " kx=" << kx << " n=" << n
+                                << " oy=" << oy << " ox=" << ox;
+                        }
+}
+
+TEST(ExecKernels, Im2colMatchesPerElementReferenceOverGeometries) {
+    const int kernels[][2] = {{1, 1}, {1, 3}, {3, 1}, {2, 2}, {3, 3}};
+    const int planes[][2] = {{1, 1}, {2, 2}, {4, 4}, {5, 7}, {16, 16}};
+    std::mt19937 rng(97);
+    std::uniform_int_distribution<int> code(1, 255);
+    std::uniform_real_distribution<float> real(-4.0f, 4.0f);
+    for (const auto& k : kernels)
+        for (const auto& p : planes)
+            for (const int n : {1, 3})
+                for (const int c : {1, 3})
+                    for (const int stride : {1, 2})
+                        for (int pad = 0; pad <= 2; ++pad) {
+                            if (p[0] + 2 * pad < k[0] || p[1] + 2 * pad < k[1]) continue;
+                            const tensor::Shape s{n, c, p[0], p[1]};
+                            std::vector<std::uint8_t> qx(s.size());
+                            for (auto& v : qx) v = static_cast<std::uint8_t>(code(rng));
+                            ASSERT_NO_FATAL_FAILURE(expect_im2col_matches_reference(
+                                exec::kernels::im2col_u8, qx, s, k[0], k[1], stride, pad,
+                                std::uint8_t{0xA5}));
+                            std::vector<float> x(s.size());
+                            for (auto& v : x) v = real(rng);
+                            ASSERT_NO_FATAL_FAILURE(expect_im2col_matches_reference(
+                                exec::kernels::im2col, x, s, k[0], k[1], stride, pad,
+                                -99.0f));
+                        }
 }
 
 TEST(ExecThreading, LevelParallelRunsAreCountedAndBitIdentical) {

@@ -257,8 +257,8 @@ TEST(NetlistStructure, BusAccessorsValidate) {
     EXPECT_TRUE(nl.has_input_bus("A"));
     EXPECT_TRUE(nl.has_output_bus("P"));
     EXPECT_FALSE(nl.has_bus("Z"));
-    EXPECT_THROW(nl.input_bus("nope"), std::out_of_range);
-    EXPECT_THROW(nl.output_bus("nope"), std::out_of_range);
+    EXPECT_THROW((void)nl.input_bus("nope"), std::out_of_range);
+    EXPECT_THROW((void)nl.output_bus("nope"), std::out_of_range);
 }
 
 TEST(NetlistStructure, EvalWordsValidatesInputCount) {

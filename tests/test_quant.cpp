@@ -137,6 +137,31 @@ TEST_F(QuantizedModel, LsbAndMsbPaddingAreNumericallyIdentical) {
     EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST_F(QuantizedModel, LapqOnACallersRunnerMatchesItsOwn) {
+    // The Algorithm 1 search lends LAPQ its eval runner (batch capacity
+    // 100, above the 64-image calibration batch); the clips must not move.
+    const auto cfg = QuantConfig::from_compression({2, 2, common::Padding::Msb});
+    const auto own = quant::quantize_graph(*graph_, Method::M3_Lapq, cfg, *calib_);
+    quant::QuantRunner runner(std::make_shared<const quant::QuantizedGraph>(quant::quantize_graph(
+                                  *graph_, Method::M5_AciqNoBias, cfg, *calib_)),
+                              100);
+    const auto lent = quant::quantize_graph(*graph_, Method::M3_Lapq, cfg, *calib_, &runner);
+    const auto same = [](const QuantParams& a, const QuantParams& b) {
+        return a.scale == b.scale && a.zero_point == b.zero_point && a.bits == b.bits;
+    };
+    for (std::size_t i = 0; i < graph_->ops().size(); ++i) {
+        if (graph_->ops()[i].kind != ir::OpKind::Conv2d) continue;
+        const quant::QConv& a = own.conv(i);
+        const quant::QConv& b = lent.conv(i);
+        EXPECT_TRUE(same(a.act, b.act)) << "conv op " << i;
+        EXPECT_EQ(a.qweights, b.qweights) << "conv op " << i;
+        EXPECT_EQ(a.qbias, b.qbias) << "conv op " << i;
+        ASSERT_EQ(a.weight_q.size(), b.weight_q.size()) << "conv op " << i;
+        for (std::size_t q = 0; q < a.weight_q.size(); ++q)
+            EXPECT_TRUE(same(a.weight_q[q], b.weight_q[q])) << "conv op " << i << " wq " << q;
+    }
+}
+
 TEST_F(QuantizedModel, AggressiveCompressionDegradesMore) {
     // Accuracy loss must grow (weakly) along the compression schedule the
     // selector produces: (0,0) -> (2,2) -> (4,4).

@@ -47,7 +47,7 @@ TEST(ConvOutDim, StandardCases) {
     EXPECT_EQ(conv_out_dim(16, 3, 2, 1), 8);
     EXPECT_EQ(conv_out_dim(16, 2, 2, 0), 8);
     EXPECT_EQ(conv_out_dim(5, 5, 1, 0), 1);
-    EXPECT_THROW(conv_out_dim(2, 5, 1, 0), std::invalid_argument);
+    EXPECT_THROW((void)conv_out_dim(2, 5, 1, 0), std::invalid_argument);
 }
 
 TEST(Im2Col, IdentityKernelIsPassthrough) {
