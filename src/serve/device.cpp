@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "serve/batcher.hpp"
 
 namespace raq::serve {
 
@@ -40,7 +39,6 @@ NpuDevice::NpuDevice(int id, const ServeContext& ctx, const DeviceConfig& config
                      RequantService* requant_service, obs::Telemetry* telemetry,
                      ReliabilityPlanner* planner, int stage)
     : id_(id),
-      stage_(stage),
       ctx_(&ctx),
       config_(config),
       telemetry_(telemetry),
@@ -347,7 +345,9 @@ void NpuDevice::account_batch(std::size_t requests, std::uint64_t batch_cycles,
     }
 }
 
-tensor::Tensor NpuDevice::execute_batch(tensor::TensorView batch, BatchTrace* trace) {
+tensor::Tensor NpuDevice::execute_batch(tensor::TensorView batch,
+                                        const std::vector<InferenceRequest>& requests,
+                                        BatchTrace* trace) {
     // The deployed state cannot change mid-batch: only this thread (and
     // the post-join shutdown drain) installs, and the snapshot pins it.
     const std::shared_ptr<const core::ModelState> serving = deployed_state();
@@ -356,14 +356,35 @@ tensor::Tensor NpuDevice::execute_batch(tensor::TensorView batch, BatchTrace* tr
         per_image_cycles() * static_cast<std::uint64_t>(batch.shape.n);
     const bool duty = config_.traffic_aging.enabled;
     const std::int64_t host_t0 = duty ? obs::monotonic_us() : 0;
-    tensor::Tensor logits = runner_->run(batch);
+    std::uint64_t flips = 0;
+    tensor::Tensor logits;
+    if (config_.flip_probability > 0.0) {
+        inject::InjectionConfig inj_cfg;
+        inj_cfg.flip_probability = config_.flip_probability;
+        for (int i = 0; i < batch.shape.n; ++i) {
+            inj_cfg.seed = common::stream_seed(config_.base_seed,
+                                               requests.at(static_cast<std::size_t>(i)).id);
+            inject::BitFlipInjector injector(inj_cfg);
+            const tensor::Tensor row = runner_->run(batch.batch_view(i, 1), &injector);
+            if (i == 0) {
+                tensor::Shape shape = row.shape();
+                shape.n = batch.shape.n;
+                logits = tensor::Tensor(shape);
+            }
+            std::copy(row.data(), row.data() + row.size(),
+                      logits.data() + static_cast<std::size_t>(i) * row.size());
+            flips += injector.flips_injected();
+        }
+    } else {
+        logits = runner_->run(batch);
+    }
     const std::int64_t host_t1 = duty ? obs::monotonic_us() : 0;
     if (trace) {
         trace->cycles = batch_cycles;
         trace->latency_us = static_cast<double>(batch_cycles) * period * 1e-6;
         trace->generation = serving->generation;
     }
-    account_batch(static_cast<std::size_t>(batch.shape.n), batch_cycles, period, 0,
+    account_batch(static_cast<std::size_t>(batch.shape.n), batch_cycles, period, flips,
                   host_t0, host_t1);
     return logits;
 }
@@ -396,84 +417,6 @@ void NpuDevice::requant_boundary() {
     } else if (!requant_in_flight_.exchange(true, std::memory_order_acq_rel)) {
         requant_service_->enqueue(*this, dvth_now, generation() + 1);
     }
-}
-
-void NpuDevice::serve(std::vector<InferenceRequest>& batch) {
-    if (batch.empty()) return;
-    if (config_.flip_probability > 0.0) {
-        // Fault-injection mode executes per request with a request-id-
-        // derived seed: results are independent of batching decisions and
-        // thread scheduling, so parallel serving runs are reproducible.
-        const std::shared_ptr<const core::ModelState> serving = deployed_state();
-        const double period = clock_period_ps();
-        const std::uint64_t batch_cycles =
-            per_image_cycles() * static_cast<std::uint64_t>(batch.size());
-        const double latency_us = static_cast<double>(batch_cycles) * period * 1e-6;
-        inject::InjectionConfig inj_cfg;
-        inj_cfg.flip_probability = config_.flip_probability;
-        std::uint64_t batch_flips = 0;
-        const bool duty = config_.traffic_aging.enabled;
-        const std::int64_t host_t0 = duty ? obs::monotonic_us() : 0;
-        for (InferenceRequest& request : batch) {
-            inj_cfg.seed = common::stream_seed(config_.base_seed, request.id);
-            inject::BitFlipInjector injector(inj_cfg);
-            const tensor::Tensor logits = runner_->run(request.image, &injector);
-            InferenceResult result = make_result(request.id, logits, 0);
-            result.klass = request.klass;
-            result.device_id = id_;
-            result.generation = serving->generation;
-            result.latency_cycles = batch_cycles;
-            result.latency_us = latency_us;
-            request.resolve(std::move(result));
-            batch_flips += injector.flips_injected();
-            if (request.trace && telemetry_) {
-                const std::int64_t now = obs::monotonic_us();
-                request.trace->mark(obs::SpanKind::Execute, now, id_, stage_,
-                                    serving->generation);
-                request.trace->mark(obs::SpanKind::Complete, now);
-                telemetry_->traces().finish(std::move(request.trace));
-            }
-        }
-        account_batch(batch.size(), batch_cycles, period, batch_flips, host_t0,
-                      duty ? obs::monotonic_us() : 0);
-    } else {
-        bool any_trace = false;
-        for (const InferenceRequest& request : batch) any_trace |= request.trace != nullptr;
-        if (any_trace) {
-            const std::int64_t now = obs::monotonic_us();
-            for (InferenceRequest& request : batch)
-                if (request.trace) request.trace->mark(obs::SpanKind::Batch, now);
-        }
-        const tensor::Tensor stacked = stack_batch(batch);
-        BatchTrace trace;
-        const tensor::Tensor logits =
-            execute_batch(stacked.batch_view(0, stacked.shape().n), &trace);
-        if (any_trace) {
-            const std::int64_t now = obs::monotonic_us();
-            for (InferenceRequest& request : batch)
-                if (request.trace)
-                    request.trace->mark(obs::SpanKind::Execute, now, id_, stage_,
-                                        trace.generation);
-        }
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            InferenceResult result = make_result(batch[i].id, logits, static_cast<int>(i));
-            result.klass = batch[i].klass;
-            result.device_id = id_;
-            result.generation = trace.generation;
-            result.latency_cycles = trace.cycles;
-            result.latency_us = trace.latency_us;
-            batch[i].resolve(std::move(result));
-        }
-        if (any_trace && telemetry_) {
-            const std::int64_t now = obs::monotonic_us();
-            for (InferenceRequest& request : batch)
-                if (request.trace) {
-                    request.trace->mark(obs::SpanKind::Complete, now);
-                    telemetry_->traces().finish(std::move(request.trace));
-                }
-        }
-    }
-    requant_boundary();
 }
 
 DeviceStats NpuDevice::stats() const {

@@ -18,9 +18,13 @@
 // and adopts the published generation g+1 at a later batch boundary via
 // an atomic payload rebind. At most one build is in flight per device.
 //
+// Every device serves inside a ShardGroup, as the one stage of a
+// whole-model group or as one stage of a pipeline; the group feeds it
+// batches through execute_batch() and runs requant_boundary() after each.
+//
 // Concurrency contract (compiler-checked — see src/common/README.md):
-// a device is checked out exclusively by one worker at a time (the
-// server's device pool enforces this), so execution state (the runner)
+// one thread at a time drives a device (the worker holding its one-stage
+// group, or its pipeline stage thread), so execution state (the runner)
 // needs no locks. Three small mutexes guard what observers and the
 // background builder touch — `state_mutex_` the deployed ModelState
 // *pointer*, `pending_mutex_` the published-but-not-adopted state,
@@ -108,23 +112,12 @@ struct DeviceConfig {
     sim::TrafficAgingConfig traffic_aging;
 };
 
-/// One schedulable unit in the server's pool: a whole-model device or a
-/// sharded pipeline group. serve() must eventually fulfill every
-/// request's promise — synchronously for a device, asynchronously (at
-/// the end of the pipeline) for a ShardGroup.
-class ServeUnit {
+class NpuDevice {
 public:
-    virtual ~ServeUnit() = default;
-    virtual void serve(std::vector<InferenceRequest>& batch) = 0;
-};
-
-class NpuDevice : public ServeUnit, public RequantTarget {
-public:
-    /// `ctx` must outlive the device (NpuServer guarantees this by
-    /// owning its own ServeContext copy; ShardGroup owns the per-shard
-    /// context). With a `requant_service`, threshold crossings build the
-    /// next generation in the background; without one they rebuild
-    /// inline at the batch boundary. With `telemetry`, the device
+    /// `ctx` must outlive the device (the owning ShardGroup keeps each
+    /// stage's context). With a `requant_service`, threshold crossings
+    /// build the next generation in the background; without one they
+    /// rebuild inline at the batch boundary. With `telemetry`, the device
     /// registers its metric series at construction (labels: device id,
     /// plus the pipeline stage when `stage >= 0`) and caches the
     /// instrument pointers — the serving path never touches the registry
@@ -138,13 +131,6 @@ public:
               obs::Telemetry* telemetry = nullptr,
               ReliabilityPlanner* planner = nullptr, int stage = -1);
 
-    /// Serve one batch: execute every request on the deployed state,
-    /// fulfill its promise, account busy time, then age the device,
-    /// adopt a background-built state if one was published, and trigger
-    /// re-quantization if the threshold was crossed. Called with
-    /// exclusive ownership of the device.
-    void serve(std::vector<InferenceRequest>& batch) override;
-
     /// What one execute_batch() pass ran on and cost (in model time, at
     /// the clock in effect for the batch).
     struct BatchTrace {
@@ -153,13 +139,15 @@ public:
         std::uint64_t generation = 0;   ///< ModelState generation that served it
     };
 
-    /// Lower-level batch execution for pipeline composition (ShardGroup
-    /// stages): run `batch` through the deployed state and account
-    /// requests/busy time/aging. Does not touch promises, does not
-    /// inject faults, and does not run the re-quantization boundary —
-    /// call requant_boundary() after forwarding the output downstream.
-    /// Called with exclusive ownership of the device.
+    /// Run `batch` (row i carries `requests[i]`) through the deployed
+    /// state and account requests/busy time/aging once for the batch.
+    /// With `flip_probability > 0` each row runs alone, its bit flips
+    /// seeded by its request id, so results do not depend on batching
+    /// or thread scheduling. Does not touch promises and does not run the
+    /// re-quantization boundary — call requant_boundary() after handing
+    /// the output on. Called with exclusive ownership of the device.
     [[nodiscard]] tensor::Tensor execute_batch(tensor::TensorView batch,
+                                               const std::vector<InferenceRequest>& requests,
                                                BatchTrace* trace = nullptr);
 
     /// Batch boundary maintenance: adopt a background-built state if one
@@ -213,15 +201,15 @@ public:
     /// RequantService worker entry: build `generation` for aging level
     /// `dvth_mv` off the serving path and publish it into the pending
     /// slot. Touches only the immutable context and the pending slot, so
-    /// it runs concurrently with serve().
-    void execute_requant(double dvth_mv, std::uint64_t generation) override
+    /// it runs concurrently with execute_batch().
+    void execute_requant(double dvth_mv, std::uint64_t generation)
         RAQ_EXCLUDES(pending_mutex_);
 
     /// Adopt a published pending state, if any: swap the deployed
     /// pointer, rebind the runner's payload, record the event. Returns
     /// true when a new generation was installed. Called by the serve
     /// thread at batch boundaries and by NpuServer::shutdown() after the
-    /// serve workers have joined (never concurrently with serve()).
+    /// serve workers have joined (never concurrently with execute_batch()).
     bool adopt_pending() RAQ_EXCLUDES(pending_mutex_, state_mutex_, stats_mutex_);
 
     /// Shutdown drain (serve workers joined, RequantService drained):
@@ -250,7 +238,6 @@ private:
     [[nodiscard]] double hours_unlocked() const RAQ_REQUIRES(stats_mutex_);
 
     const int id_;
-    const int stage_;  ///< pipeline stage index (-1 on a whole-model device)
     const ServeContext* ctx_;
     const DeviceConfig config_;
     obs::Telemetry* telemetry_;  ///< null = telemetry disabled

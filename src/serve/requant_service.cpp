@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "serve/device.hpp"
+
 namespace raq::serve {
 
 RequantService::RequantService(int num_workers) {
@@ -14,12 +16,12 @@ RequantService::RequantService(int num_workers) {
 
 RequantService::~RequantService() { shutdown(); }
 
-void RequantService::enqueue(RequantTarget& target, double dvth_mv,
+void RequantService::enqueue(NpuDevice& device, double dvth_mv,
                              std::uint64_t generation) {
     {
         const common::MutexLock lock(mutex_);
         if (stopped_) return;
-        jobs_.push_back(Job{&target, dvth_mv, generation});
+        jobs_.push_back(Job{&device, dvth_mv, generation});
     }
     cv_.notify_one();
 }
@@ -35,9 +37,9 @@ void RequantService::worker_loop() {
             jobs_.pop_front();
         }
         // The build runs entirely off the serving path: it reads the
-        // immutable ServeContext and writes only the target's pending
-        // slot, so the target keeps serving its current generation.
-        job.target->execute_requant(job.dvth_mv, job.generation);
+        // immutable ServeContext and writes only the device's pending
+        // slot, so the device keeps serving its current generation.
+        job.device->execute_requant(job.dvth_mv, job.generation);
         {
             const common::MutexLock lock(mutex_);
             ++jobs_completed_;

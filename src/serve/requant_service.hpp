@@ -32,16 +32,7 @@
 
 namespace raq::serve {
 
-/// Anything the RequantService can build a generation for: a whole-model
-/// NpuDevice or one shard of a ShardGroup (each shard versions its own
-/// core::ModelState, so PR 3's background pipeline works per shard).
-class RequantTarget {
-public:
-    virtual ~RequantTarget() = default;
-    /// Build `generation` for aging level `dvth_mv` off the serving path
-    /// and publish it into the target's pending slot.
-    virtual void execute_requant(double dvth_mv, std::uint64_t generation) = 0;
-};
+class NpuDevice;
 
 class RequantService {
 public:
@@ -51,11 +42,11 @@ public:
     RequantService(const RequantService&) = delete;
     RequantService& operator=(const RequantService&) = delete;
 
-    /// Enqueue a build of `generation` for `target` at aging level
-    /// `dvth_mv`. The caller (the target's serve thread) must hold the
-    /// target's in-flight gate, which is what guarantees at most one job
-    /// per target. Ignored after shutdown.
-    void enqueue(RequantTarget& target, double dvth_mv, std::uint64_t generation)
+    /// Enqueue a build of `generation` for `device` at aging level
+    /// `dvth_mv` (NpuDevice::execute_requant). The caller (the device's
+    /// serve thread) must hold the device's in-flight gate, which is what
+    /// guarantees at most one job per device. Ignored after shutdown.
+    void enqueue(NpuDevice& device, double dvth_mv, std::uint64_t generation)
         RAQ_EXCLUDES(mutex_);
 
     /// Drain every accepted job, then join the workers. Idempotent.
@@ -67,7 +58,7 @@ private:
     void worker_loop() RAQ_EXCLUDES(mutex_);
 
     struct Job {
-        RequantTarget* target = nullptr;
+        NpuDevice* device = nullptr;
         double dvth_mv = 0.0;
         std::uint64_t generation = 0;
     };

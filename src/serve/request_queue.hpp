@@ -42,11 +42,13 @@ struct InferenceResult {
     std::uint64_t request_id = 0;
     int predicted_class = -1;
     std::vector<float> logits;
-    int device_id = -1;
+    int device_id = -1;                ///< the serving group's id (= device id on one stage)
     std::uint64_t generation = 0;      ///< ModelState generation that served it
-    /// Partition generation of the shard pipeline that served it (0 on a
-    /// whole-model device). A drain-and-swap re-cut never tears a batch,
-    /// so one request is served end to end by exactly one partition.
+    /// Partition generation of the group that served it: 1 for a
+    /// one-stage group (its only cut) and for a pipeline's first cut,
+    /// bumped by every re-cut. A drain-and-swap re-cut never tears a
+    /// batch, so one request is served end to end by exactly one
+    /// partition.
     std::uint64_t partition = 0;
     std::uint64_t latency_cycles = 0;  ///< batch residency in model cycles
     double latency_us = 0.0;           ///< latency_cycles × device clock
@@ -91,21 +93,16 @@ struct InferenceRequest {
 
 /// Fail every still-unfulfilled promise in `batch` with `error`,
 /// leaving promises satisfied before the throw alone. The one error
-/// fan-out both the server's worker loop and a shard pipeline's stage
-/// threads apply when a batch throws mid-serve. Returns how many
-/// promises were failed (== how many requests did NOT complete).
-inline std::size_t fail_batch(std::vector<InferenceRequest>& batch,
-                              const std::exception_ptr& error) {
-    std::size_t failed = 0;
+/// fan-out both the server's worker loop (a batch a group cannot admit)
+/// and the shared stage body apply when a batch throws mid-serve.
+inline void fail_batch(std::vector<InferenceRequest>& batch, const std::exception_ptr& error) {
     for (InferenceRequest& request : batch) {
         try {
             request.reject(error);
-            ++failed;
         } catch (const std::future_error&) {
             // already satisfied before the throw
         }
     }
-    return failed;
 }
 
 }  // namespace raq::serve

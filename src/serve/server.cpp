@@ -5,7 +5,6 @@
 
 #include "exec/engine.hpp"
 #include "exec/kernels_simd.hpp"
-#include "quant/evaluate.hpp"
 
 namespace raq::serve {
 
@@ -26,21 +25,9 @@ NpuServer::NpuServer(const ServeContext& ctx, const ServeConfig& config)
         throw std::invalid_argument("NpuServer: devices/workers/max_batch must be >= 1");
     if (config.num_shards < 1)
         throw std::invalid_argument("NpuServer: num_shards must be >= 1");
-    if (config.num_shards > 1 && config.num_devices % config.num_shards != 0)
+    if (config.num_devices % config.num_shards != 0)
         throw std::invalid_argument(
             "NpuServer: num_devices must be a multiple of num_shards");
-    if (!config.shard_systolic.empty() &&
-        static_cast<int>(config.shard_systolic.size()) != config.num_shards)
-        throw std::invalid_argument(
-            "NpuServer: shard_systolic must have one entry per shard");
-    // Sharding-only features are refused — not silently ignored — on a
-    // replicated (num_shards == 1) layout.
-    if (config.num_shards == 1 && config.repartition.enabled)
-        throw std::invalid_argument(
-            "NpuServer: online re-partitioning requires num_shards > 1");
-    if (config.num_shards == 1 && !config.shard_systolic.empty())
-        throw std::invalid_argument(
-            "NpuServer: shard_systolic requires num_shards > 1");
     if (config.background_requant && config.requant_workers < 1)
         throw std::invalid_argument("NpuServer: requant_workers must be >= 1");
     if (config.telemetry.trace_sample_rate < 0.0 || config.telemetry.trace_sample_rate > 1.0)
@@ -53,7 +40,6 @@ NpuServer::NpuServer(const ServeContext& ctx, const ServeConfig& config)
             const obs::Labels labels{
                 {"class", request_class_name(static_cast<RequestClass>(c))}};
             submitted_counter_[c] = &reg.counter("raq_requests_submitted_total", labels);
-            completed_counter_[c] = &reg.counter("raq_requests_completed_total", labels);
             queue_depth_[c] = &reg.gauge("raq_queue_depth", labels);
             queue_wait_us_[c] =
                 &reg.histogram("raq_queue_wait_us", labels, obs::default_us_buckets());
@@ -73,61 +59,42 @@ NpuServer::NpuServer(const ServeContext& ctx, const ServeConfig& config)
     }
     // full_algorithm1 without a usable eval set fails loudly below:
     // every device's RequantJob validates it at construction (no silent
-    // fast-path fallback), and that error propagates out of here.
+    // fast-path fallback), and that error propagates out of here — as do
+    // ShardGroup's layout checks (sharding-only features are refused, not
+    // silently ignored, on one-stage groups).
     if (config.background_requant)
         requant_service_ = std::make_unique<RequantService>(config.requant_workers);
     if (config.planner.enabled)
         planner_ =
             std::make_unique<ReliabilityPlanner>(config.planner, telemetry_.get());
-    if (config.num_shards == 1) {
-        devices_.reserve(static_cast<std::size_t>(config.num_devices));
-        for (int i = 0; i < config.num_devices; ++i) {
-            DeviceConfig dev = config.device;
-            dev.initial_age_years = config.initial_age_years +
-                                    static_cast<double>(i) * config.initial_age_step_years;
-            // Compile each device's execution plan for the largest batch the
-            // server will ever hand it: no plan recompile on the serving path.
-            dev.plan_batch_capacity = config.max_batch;
-            devices_.push_back(std::make_unique<NpuDevice>(i, ctx_, dev,
-                                                           requant_service_.get(),
-                                                           telemetry_.get(),
-                                                           planner_.get()));
-            idle_units_.push_back(devices_.back().get());
-        }
-    } else {
-        const int num_groups = config.num_devices / config.num_shards;
-        // One partition for the whole fleet: every group shares the same
-        // cut, sub-graphs and cached sub-plans (balanced per stage-array
-        // when the stages run heterogeneous systolic configs).
-        const ShardPartition partition =
-            config.shard_systolic.empty()
-                ? make_shard_partition(*ctx_.graph, config.device.systolic,
-                                       config.num_shards, config.max_batch)
-                : make_shard_partition(*ctx_.graph, config.shard_systolic,
-                                       config.max_batch);
-        groups_.reserve(static_cast<std::size_t>(num_groups));
-        for (int g = 0; g < num_groups; ++g) {
-            ShardGroupConfig group;
-            group.num_shards = config.num_shards;
-            group.partition = &partition;
-            group.handoff_capacity = config.shard_handoff_capacity;
-            group.per_shard_systolic = config.shard_systolic;
-            group.repartition = config.repartition;
-            group.first_device_id = g * config.num_shards;
-            // The fleet-wide age stagger applies per underlying device:
-            // shard k of group g is device g*num_shards + k.
-            group.initial_age_step_years = config.initial_age_step_years;
-            group.device = config.device;
-            group.device.initial_age_years =
-                config.initial_age_years +
-                static_cast<double>(g * config.num_shards) * config.initial_age_step_years;
-            group.device.plan_batch_capacity = config.max_batch;
-            group.telemetry = telemetry_.get();
-            group.planner = planner_.get();
-            groups_.push_back(std::make_unique<ShardGroup>(
-                g, ctx_, group, requant_service_.get(), &completed_));
-            idle_units_.push_back(groups_.back().get());
-        }
+    ShardGroupConfig group;
+    group.num_shards = config.num_shards;
+    group.handoff_capacity = config.shard_handoff_capacity;
+    group.per_shard_systolic = config.shard_systolic;
+    group.repartition = config.repartition;
+    // The fleet-wide age stagger applies per underlying device: stage k
+    // of group g is device g*num_shards + k.
+    group.initial_age_step_years = config.initial_age_step_years;
+    group.device = config.device;
+    // Compile every execution plan for the largest batch the server will
+    // ever hand it: no plan recompile on the serving path.
+    group.device.plan_batch_capacity = config.max_batch;
+    group.telemetry = telemetry_.get();
+    group.planner = planner_.get();
+    // One cut for the whole fleet: every pipeline group shares its
+    // sub-graphs and cached sub-plans.
+    const ShardPartition partition = make_group_partition(*ctx_.graph, group);
+    group.partition = &partition;
+    const int num_groups = config.num_devices / config.num_shards;
+    groups_.reserve(static_cast<std::size_t>(num_groups));
+    for (int g = 0; g < num_groups; ++g) {
+        group.first_device_id = g * config.num_shards;
+        group.device.initial_age_years =
+            config.initial_age_years +
+            static_cast<double>(group.first_device_id) * config.initial_age_step_years;
+        groups_.push_back(std::make_unique<ShardGroup>(g, ctx_, group,
+                                                       requant_service_.get(), &completed_));
+        idle_groups_.push_back(groups_.back().get());
     }
     workers_.reserve(static_cast<std::size_t>(config.num_workers));
     for (int i = 0; i < config.num_workers; ++i)
@@ -136,11 +103,12 @@ NpuServer::NpuServer(const ServeContext& ctx, const ServeConfig& config)
 
 NpuServer::~NpuServer() { shutdown(); }
 
-std::future<InferenceResult> NpuServer::submit(tensor::Tensor image,
-                                               RequestClass klass) {
+NpuServer::TrySubmit NpuServer::admit(tensor::Tensor image, RequestClass klass,
+                                      std::function<void()> on_done, bool block) {
     InferenceRequest request;
     request.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
     request.image = std::move(image);
+    request.on_done = std::move(on_done);
     request.klass = klass;
     // Stamped unconditionally: the scheduler's anti-starvation aging
     // credit and deadline/SLO accounting read it even with telemetry off.
@@ -151,35 +119,12 @@ std::future<InferenceResult> NpuServer::submit(tensor::Tensor image,
         request.trace = telemetry_->traces().maybe_start(request.id, request.submit_us);
     }
     if (planner_) planner_->observe_arrival(request.submit_us);
-    std::future<InferenceResult> future = request.promise.get_future();
-    if (!queue_.push(std::move(request)))
-        throw std::runtime_error("NpuServer: submit after shutdown");
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_) {
-        const auto lane = static_cast<std::size_t>(klass);
-        submitted_counter_[lane]->add(1);
-        queue_depth_[lane]->set(static_cast<double>(queue_.size(klass)));
-        queue_depth_peak_->set_max(static_cast<double>(queue_.size()));
-    }
-    return future;
-}
-
-NpuServer::TrySubmit NpuServer::try_submit(tensor::Tensor image,
-                                           std::function<void()> on_done,
-                                           RequestClass klass) {
-    InferenceRequest request;
-    request.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    request.image = std::move(image);
-    request.on_done = std::move(on_done);
-    request.klass = klass;
-    request.submit_us = obs::monotonic_us();
-    if (telemetry_) {
-        request.trace = telemetry_->traces().maybe_start(request.id, request.submit_us);
-    }
-    if (planner_) planner_->observe_arrival(request.submit_us);
     TrySubmit out;
     out.future = request.promise.get_future();
-    switch (queue_.try_push(std::move(request))) {
+    const ChannelPush pushed =
+        block ? (queue_.push(std::move(request)) ? ChannelPush::Ok : ChannelPush::Closed)
+              : queue_.try_push(std::move(request));
+    switch (pushed) {
         case ChannelPush::Ok:
             out.status = TrySubmit::Status::Accepted;
             break;
@@ -200,12 +145,25 @@ NpuServer::TrySubmit NpuServer::try_submit(tensor::Tensor image,
     return out;
 }
 
+std::future<InferenceResult> NpuServer::submit(tensor::Tensor image,
+                                               RequestClass klass) {
+    TrySubmit out = admit(std::move(image), klass, {}, /*block=*/true);
+    if (out.status != TrySubmit::Status::Accepted)
+        throw std::runtime_error("NpuServer: submit after shutdown");
+    return std::move(out.future);
+}
+
+NpuServer::TrySubmit NpuServer::try_submit(tensor::Tensor image,
+                                           std::function<void()> on_done,
+                                           RequestClass klass) {
+    return admit(std::move(image), klass, std::move(on_done), /*block=*/false);
+}
+
 void NpuServer::worker_loop() {
     for (;;) {
         std::vector<InferenceRequest> batch =
             queue_.pop_batch(static_cast<std::size_t>(config_.max_batch));
         if (batch.empty()) return;  // closed and drained
-        const std::size_t batch_size = batch.size();
         if (telemetry_) {
             // Queue span closes here: submit → worker pop. The wait
             // histograms see every request; the trace only sampled ones.
@@ -220,49 +178,28 @@ void NpuServer::worker_loop() {
                     queue_.size(static_cast<RequestClass>(c))));
         }
 
-        ServeUnit* unit = nullptr;
+        ShardGroup* group = nullptr;
         {
             const common::MutexLock lock(pool_mutex_);
-            while (idle_units_.empty()) pool_cv_.wait(pool_mutex_);
-            unit = idle_units_.back();
-            idle_units_.pop_back();
+            while (idle_groups_.empty()) pool_cv_.wait(pool_mutex_);
+            group = idle_groups_.back();
+            idle_groups_.pop_back();
         }
-        std::size_t failed = 0;
         try {
-            unit->serve(batch);
+            group->serve(batch);
         } catch (...) {
-            // A malformed request (e.g. a submitted image whose shape the
-            // batcher or the engine rejects) fails its own batch, not the
-            // server: every still-unfulfilled promise in the batch gets
-            // the exception, the worker and the unit keep serving. A
-            // throw from the post-fulfillment boundary work (an inline
-            // requant build) reaches here with every promise already
-            // satisfied — those requests completed; the device keeps its
-            // current deployment and retries at the next boundary.
-            failed = fail_batch(batch, std::current_exception());
+            // A batch the group cannot admit (e.g. submitted images whose
+            // shapes the batcher rejects) fails its own requests, not the
+            // server: serve() hands the batch back intact, every promise
+            // gets the exception, and the worker and the group keep
+            // serving. Failures past admission are the stage's to report.
+            fail_batch(batch, std::current_exception());
         }
         {
             const common::MutexLock lock(pool_mutex_);
-            idle_units_.push_back(unit);
+            idle_groups_.push_back(group);
         }
         pool_cv_.notify_one();
-        // A device completes the batch synchronously; a shard group
-        // counts completion itself when the pipeline's last stage
-        // fulfills the promises.
-        if (!sharded()) {
-            completed_.fetch_add(batch_size - failed, std::memory_order_relaxed);
-            if (telemetry_ && failed == 0) {
-                // Per-class attribution on the success path; a failed
-                // batch cannot tell which class' promises were already
-                // satisfied before the throw, so only the class-less
-                // completed_ total counts those.
-                std::size_t per_class[kNumRequestClasses] = {};
-                for (const InferenceRequest& request : batch)
-                    ++per_class[static_cast<std::size_t>(request.klass)];
-                for (std::size_t c = 0; c < kNumRequestClasses; ++c)
-                    if (per_class[c] > 0) completed_counter_[c]->add(per_class[c]);
-            }
-        }
     }
 }
 
@@ -280,25 +217,25 @@ void NpuServer::shutdown() {
         // on any crossing absorbed while a build was in flight: the
         // fleet ends on exactly the generations an inline run deploys.
         requant_service_->shutdown();
-        for (const auto& device : devices_) device->finish_requants();
         for (const auto& group : groups_) group->finish_requants();
     }
+}
+
+const ShardGroup& NpuServer::group_at(int i, bool sharded_view) const {
+    if (sharded_view != sharded())
+        throw std::out_of_range(sharded_view ? "NpuServer: not sharded, see device()"
+                                             : "NpuServer: sharded, see shard_group()");
+    return *groups_.at(static_cast<std::size_t>(i));
 }
 
 double NpuServer::sample_accuracy(int index, int samples) const {
     if (!ctx_.eval_images || !ctx_.eval_labels)
         throw std::logic_error("NpuServer: no eval set in the serve context");
-    if (samples < 1) throw std::invalid_argument("NpuServer: samples must be >= 1");
-    samples = std::min(samples, ctx_.eval_images->shape().n);
-    const std::vector<int> labels(ctx_.eval_labels->begin(),
-                                  ctx_.eval_labels->begin() + samples);
-    if (sharded())
-        return groups_.at(static_cast<std::size_t>(index))
-            ->sample_accuracy(*ctx_.eval_images, labels, samples);
-    const auto qgraph = devices_.at(static_cast<std::size_t>(index))->deployed_graph();
-    // Zero-copy slice of the eval set; the engine reads it in place.
-    return quant::quantized_accuracy(*qgraph, ctx_.eval_images->batch_view(0, samples),
-                                     labels);
+    // Index i is device i of a replicated fleet or pipeline group i: the
+    // group clamps `samples` to the eval images and checks the labels
+    // cover them.
+    return groups_.at(static_cast<std::size_t>(index))
+        ->sample_accuracy(*ctx_.eval_images, *ctx_.eval_labels, samples);
 }
 
 void NpuServer::sync_exec_metrics() const {
@@ -335,8 +272,6 @@ FleetStats NpuServer::fleet_stats() const {
     FleetStats fleet;
     fleet.submitted = accepted_.load(std::memory_order_relaxed);
     fleet.completed = completed_.load(std::memory_order_relaxed);
-    fleet.devices.reserve(devices_.size());
-    for (const auto& device : devices_) fleet.devices.push_back(device->stats());
     for (const auto& group : groups_) {
         std::vector<DeviceStats> shard_stats = group->stats();
         fleet.devices.insert(fleet.devices.end(), shard_stats.begin(), shard_stats.end());

@@ -2,13 +2,15 @@
 //
 // Topology: submit() → class-aware Scheduler (per-class bounded lanes,
 // interactive preempts batch at batch formation) → worker threads. Each
-// worker pops a dynamic batch, checks an idle serving unit out of the pool,
-// serves the batch on it and returns the unit. A unit is either a
-// whole-model NpuDevice (the replicated layout: every device carries the
-// full graph) or, with `num_shards > 1`, a ShardGroup: the model is
-// partitioned across `num_shards` devices (shard = ExecPlan sub-plan)
-// and batches pipeline device-to-device, with each shard versioning its
-// own ModelState and re-quantizing independently.
+// worker pops a dynamic batch, checks an idle ShardGroup out of the pool,
+// serves the batch on it and returns the group. The ShardGroup is the one
+// serving unit: `num_devices / num_shards` groups of `num_shards`
+// devices each. With `num_shards == 1` (the replicated layout) every
+// group is one whole-model device whose stage runs inline on the worker;
+// with `num_shards > 1` the model is partitioned across the group's
+// devices (shard = ExecPlan sub-plan) and batches pipeline
+// device-to-device, with each shard versioning its own ModelState and
+// re-quantizing independently.
 //
 // Devices age as they serve; crossing the ΔVth re-quantization threshold
 // hands Algorithm 1 to the background RequantService, which builds the
@@ -104,6 +106,7 @@ public:
 
     /// Enqueue one sample (shape (1, c, h, w)) into the lane for `klass`;
     /// blocks under that lane's backpressure. Throws once shut down.
+    /// submit() and try_submit() share one admission path (admit()).
     std::future<InferenceResult> submit(
         tensor::Tensor image, RequestClass klass = RequestClass::Interactive);
 
@@ -129,17 +132,23 @@ public:
     /// re-quantizations and adopt their generations. Idempotent.
     void shutdown();
 
-    /// Whole-model devices (0 in sharded mode — see num_shard_groups()).
-    [[nodiscard]] int num_devices() const { return static_cast<int>(devices_.size()); }
-    [[nodiscard]] const NpuDevice& device(int i) const { return *devices_.at(static_cast<std::size_t>(i)); }
+    /// Whole-model devices, one per one-stage group (0 in sharded mode —
+    /// see num_shard_groups()). device(i) throws std::out_of_range when
+    /// sharded.
+    [[nodiscard]] int num_devices() const { return sharded() ? 0 : num_groups(); }
+    [[nodiscard]] const NpuDevice& device(int i) const { return group_at(i, false).shard(0); }
 
-    [[nodiscard]] bool sharded() const { return !groups_.empty(); }
-    [[nodiscard]] int num_shard_groups() const { return static_cast<int>(groups_.size()); }
-    [[nodiscard]] const ShardGroup& shard_group(int i) const { return *groups_.at(static_cast<std::size_t>(i)); }
+    /// Pipeline groups (0 in the replicated layout). shard_group(i)
+    /// throws std::out_of_range when not sharded.
+    [[nodiscard]] bool sharded() const { return config_.num_shards > 1; }
+    [[nodiscard]] int num_shard_groups() const { return sharded() ? num_groups() : 0; }
+    [[nodiscard]] const ShardGroup& shard_group(int i) const { return group_at(i, true); }
 
     /// Online accuracy sampling: evaluate the unit's currently deployed
     /// graph(s) on the first `samples` images of the context eval set.
     /// `index` is a device index (replicated) or a group index (sharded).
+    /// Throws std::invalid_argument when the eval set has fewer labels
+    /// than the samples it evaluates.
     [[nodiscard]] double sample_accuracy(int index, int samples) const;
 
     [[nodiscard]] FleetStats fleet_stats() const;
@@ -166,6 +175,14 @@ public:
     [[nodiscard]] std::string export_timeline() const;
 
 private:
+    /// The one admission path: stamp, trace-sample and enqueue one
+    /// request — blocking under backpressure or not — and count it once
+    /// accepted.
+    TrySubmit admit(tensor::Tensor image, RequestClass klass, std::function<void()> on_done,
+                    bool block);
+    [[nodiscard]] int num_groups() const { return static_cast<int>(groups_.size()); }
+    /// Group i, checked against the layout the accessor serves.
+    [[nodiscard]] const ShardGroup& group_at(int i, bool sharded_view) const;
     void worker_loop() RAQ_EXCLUDES(pool_mutex_);
     /// Fold the process-wide level-parallel run count into the registry
     /// counter as a delta since this server's construction baseline, so
@@ -175,14 +192,13 @@ private:
 
     ServeConfig config_;
     ServeContext ctx_;  ///< owned copy; pointed-to objects outlive the server
-    /// Declared before devices_/groups_ (and destroyed after them):
-    /// devices cache instrument pointers into the registry.
+    /// Declared before groups_ (and destroyed after them): groups and
+    /// their devices cache instrument pointers into the registry.
     std::unique_ptr<obs::Telemetry> telemetry_;
     /// Per-class series (label class="interactive"/"batch"), indexed by
     /// RequestClass. The depth peak stays an unlabeled fleet-wide
     /// high-water mark.
     obs::Counter* submitted_counter_[kNumRequestClasses] = {};
-    obs::Counter* completed_counter_[kNumRequestClasses] = {};
     obs::Gauge* queue_depth_[kNumRequestClasses] = {};
     obs::Gauge* queue_depth_peak_ = nullptr;
     obs::Histogram* queue_wait_us_[kNumRequestClasses] = {};
@@ -191,23 +207,23 @@ private:
     /// see sync_exec_metrics()).
     obs::Counter* exec_parallel_counter_ = nullptr;
     mutable std::atomic<std::uint64_t> exec_parallel_exported_{0};
-    /// Declared before devices_/groups_ (destroyed after them): devices
-    /// and shard groups consult the planner from their serve threads.
+    /// Declared before groups_ (destroyed after them): devices and
+    /// groups consult the planner from their serve threads.
     std::unique_ptr<ReliabilityPlanner> planner_;
     Scheduler queue_;
-    std::vector<std::unique_ptr<NpuDevice>> devices_;
     std::vector<std::unique_ptr<ShardGroup>> groups_;
-    /// Declared after devices_/groups_ so it is destroyed (and its
-    /// threads joined) before any device it references.
+    /// Declared after groups_ so it is destroyed (and its threads
+    /// joined) before any device it references.
     std::unique_ptr<RequantService> requant_service_;
 
     common::Mutex pool_mutex_;
     common::CondVar pool_cv_;
-    std::vector<ServeUnit*> idle_units_ RAQ_GUARDED_BY(pool_mutex_);
+    std::vector<ShardGroup*> idle_groups_ RAQ_GUARDED_BY(pool_mutex_);
 
     std::vector<std::thread> workers_;
     std::atomic<std::uint64_t> next_request_id_{0};
     std::atomic<std::uint64_t> accepted_{0};  ///< requests the queue admitted
+    /// Bumped by each group's last stage before it fulfills the promises.
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<bool> stopped_{false};
 };

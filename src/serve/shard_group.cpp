@@ -45,6 +45,14 @@ ShardPartition make_shard_partition(const ir::Graph& graph,
     return out;
 }
 
+ShardPartition make_group_partition(const ir::Graph& graph, const ShardGroupConfig& config) {
+    if (config.num_shards == 1) return {};
+    const int capacity = std::max(1, config.device.plan_batch_capacity);
+    return config.per_shard_systolic.empty()
+               ? make_shard_partition(graph, config.device.systolic, config.num_shards, capacity)
+               : make_shard_partition(graph, config.per_shard_systolic, capacity);
+}
+
 ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupConfig& config,
                        RequantService* requant_service,
                        std::atomic<std::uint64_t>* completed)
@@ -53,37 +61,43 @@ ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupCo
       telemetry_(config.telemetry),
       full_ctx_(ctx),
       config_(config) {
-    if (telemetry_) {
-        const obs::Labels labels{{"group", std::to_string(group_id)}};
-        obs::MetricsRegistry& reg = telemetry_->metrics();
-        metrics_.checks = &reg.counter("raq_repartition_checks_total", labels);
-        metrics_.triggers = &reg.counter("raq_repartition_triggers_total", labels);
-        metrics_.futile = &reg.counter("raq_repartition_futile_total", labels);
-        metrics_.recuts = &reg.counter("raq_repartition_recuts_total", labels);
-        metrics_.imbalance = &reg.gauge("raq_repartition_imbalance", labels);
-        metrics_.partition_generation = &reg.gauge("raq_partition_generation", labels);
-        metrics_.partition_generation->set(1.0);
-        for (std::size_t c = 0; c < kNumRequestClasses; ++c)
-            metrics_.completed[c] = &reg.counter(
-                "raq_requests_completed_total",
-                {{"class", request_class_name(static_cast<RequestClass>(c))}});
-    }
     if (!ctx.graph || !ctx.calib || !ctx.selector || !ctx.aging)
         throw std::invalid_argument("ShardGroup: graph/calib/selector/aging are required");
-    if (config.num_shards < 2)
-        throw std::invalid_argument("ShardGroup: num_shards must be >= 2");
-    if (config.device.flip_probability > 0.0)
+    if (config.num_shards < 1)
+        throw std::invalid_argument("ShardGroup: num_shards must be >= 1");
+    const bool pipelined = config.num_shards > 1;
+    if (pipelined && config.device.flip_probability > 0.0)
         throw std::invalid_argument(
             "ShardGroup: fault injection is per-request on a whole-model device and is "
             "not supported on a sharded pipeline");
-    if (config.device.full_algorithm1)
+    if (pipelined && config.device.full_algorithm1)
         throw std::invalid_argument(
             "ShardGroup: the full Algorithm 1 method search needs end-to-end evaluation; "
             "shards re-quantize via the fast path");
+    if (!pipelined && (config.repartition.enabled || !config.per_shard_systolic.empty()))
+        throw std::invalid_argument(
+            "ShardGroup: per-stage arrays and online re-partitioning need num_shards >= 2");
     if (!config.per_shard_systolic.empty() &&
         static_cast<int>(config.per_shard_systolic.size()) != config.num_shards)
         throw std::invalid_argument(
             "ShardGroup: per_shard_systolic must have one entry per shard");
+    if (telemetry_) {
+        obs::MetricsRegistry& reg = telemetry_->metrics();
+        for (std::size_t c = 0; c < kNumRequestClasses; ++c)
+            metrics_.completed[c] = &reg.counter(
+                "raq_requests_completed_total",
+                {{"class", request_class_name(static_cast<RequestClass>(c))}});
+        if (pipelined) {
+            const obs::Labels labels{{"group", std::to_string(group_id)}};
+            metrics_.checks = &reg.counter("raq_repartition_checks_total", labels);
+            metrics_.triggers = &reg.counter("raq_repartition_triggers_total", labels);
+            metrics_.futile = &reg.counter("raq_repartition_futile_total", labels);
+            metrics_.recuts = &reg.counter("raq_repartition_recuts_total", labels);
+            metrics_.imbalance = &reg.gauge("raq_repartition_imbalance", labels);
+            metrics_.partition_generation = &reg.gauge("raq_partition_generation", labels);
+            metrics_.partition_generation->set(1.0);
+        }
+    }
     // The config copy outlives the constructor; the partition pointer
     // must not (the caller only guarantees it for the call).
     config_.partition = nullptr;
@@ -94,35 +108,38 @@ ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupCo
                           : config.per_shard_systolic;
 
     // A server building several groups over one model computes the
-    // partition once and shares it; a standalone group cuts for itself
-    // (on the per-stage arrays when they differ).
+    // partition once and shares it; a standalone group cuts for itself.
     ShardPartition own;
     const ShardPartition* partition = config.partition;
     if (partition == nullptr) {
-        if (config.per_shard_systolic.empty())
-            own = make_shard_partition(*ctx.graph, config.device.systolic, config.num_shards,
-                                       std::max(1, config.device.plan_batch_capacity));
-        else
-            own = make_shard_partition(*ctx.graph, stage_systolic_,
-                                       std::max(1, config.device.plan_batch_capacity));
+        own = make_group_partition(*ctx.graph, config);
         partition = &own;
     }
-    if (static_cast<int>(partition->specs.size()) != config.num_shards ||
-        partition->subplans.size() != partition->specs.size())
+    if (pipelined && (static_cast<int>(partition->specs.size()) != config.num_shards ||
+                      partition->subplans.size() != partition->specs.size()))
         throw std::invalid_argument(
             "ShardGroup: the provided partition does not match num_shards");
 
-    shards_.reserve(partition->specs.size());
-    for (std::size_t k = 0; k < partition->specs.size(); ++k) {
-        const exec::Subplan& sub = partition->subplans[k];
+    shards_.reserve(static_cast<std::size_t>(config.num_shards));
+    for (std::size_t k = 0; k < static_cast<std::size_t>(config.num_shards); ++k) {
         auto shard = std::make_unique<ShardState>();
-        shard->spec = partition->specs[k];
-        shard->graph = sub.graph;  // shared across groups; pins the sub-plan's graph
-        shard->calib = quant::slice_calibration(*ctx.calib, sub.full_tensor_of);
-        shard->ctx.graph = shard->graph.get();
-        shard->ctx.calib = &shard->calib;
-        shard->ctx.selector = ctx.selector;
-        shard->ctx.aging = ctx.aging;
+        if (pipelined) {
+            const exec::Subplan& sub = partition->subplans[k];
+            shard->spec = partition->specs[k];
+            shard->graph = sub.graph;  // shared across groups; pins the sub-plan's graph
+            shard->calib = quant::slice_calibration(*ctx.calib, sub.full_tensor_of);
+            shard->ctx.graph = shard->graph.get();
+            shard->ctx.calib = &shard->calib;
+            shard->ctx.selector = ctx.selector;
+            shard->ctx.aging = ctx.aging;
+        } else {
+            // The one "cut" spans the whole schedule; the stage runs the
+            // caller's graph and calibration in place.
+            shard->spec = ir::partition_graph(*ctx.graph, 1,
+                                              npu::op_cycle_costs(*ctx.graph, stage_systolic_[k]))
+                              .front();
+            shard->ctx = ctx;
+        }
         DeviceConfig dev = config.device;
         dev.systolic = stage_systolic_[k];
         dev.initial_age_years = config.device.initial_age_years +
@@ -131,15 +148,17 @@ ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupCo
         // behind a stable unique_ptr for the group's lifetime.
         shard->device = std::make_unique<NpuDevice>(
             config.first_device_id + static_cast<int>(k), shard->ctx, dev, requant_service,
-            telemetry_, config_.planner, static_cast<int>(k));
+            telemetry_, config_.planner, pipelined ? static_cast<int>(k) : -1);
         shards_.push_back(std::move(shard));
     }
 
-    channels_.reserve(shards_.size());
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-        channels_.push_back(std::make_unique<BoundedChannel<ShardBatch>>(
-            std::max<std::size_t>(1, config.handoff_capacity)));
-    start_stages();
+    if (pipelined) {
+        channels_.reserve(shards_.size());
+        for (std::size_t k = 0; k < shards_.size(); ++k)
+            channels_.push_back(std::make_unique<BoundedChannel<ShardBatch>>(
+                std::max<std::size_t>(1, config.handoff_capacity)));
+        start_stages();
+    }
 
     window_batches_.assign(shards_.size(), 0);
     window_busy_ps_.assign(shards_.size(), 0.0);
@@ -161,11 +180,16 @@ void ShardGroup::serve(std::vector<InferenceRequest>& batch) {
     ShardBatch sb;
     sb.activations = stack_batch(batch);  // may throw; batch stays intact
     sb.requests = std::move(batch);
-    // Close the Batch span (worker pop → pipeline admission) before the
-    // push moves the requests into the channel; the first stage's pop
-    // then opens the Handoff span.
+    // Close the Batch span (worker pop → stage admission); the first
+    // stage of a pipeline then opens the Handoff span.
     for (InferenceRequest& request : sb.requests)
         if (request.trace) request.trace->mark(obs::SpanKind::Batch, obs::monotonic_us());
+    // One stage: the caller holds the group exclusively (the server's
+    // pool), so the stage runs here, with no handoff.
+    if (shards_.size() == 1) {
+        run_stage(0, sb);
+        return;
+    }
     // The swap mutex pends admission while a re-cut drains and remaps
     // the pipeline: a push always lands in the current cut's channel.
     common::MutexLock lock(swap_mutex_);
@@ -180,99 +204,99 @@ void ShardGroup::serve(std::vector<InferenceRequest>& batch) {
 }
 
 void ShardGroup::stage_loop(std::size_t k) {
-    NpuDevice& device = *shards_[k]->device;
-    const bool last = k + 1 == shards_.size();
     ShardBatch batch;
-    while (channels_[k]->pop(batch)) {
-        try {
-            bool any_trace = false;
-            for (const InferenceRequest& request : batch.requests)
-                any_trace |= request.trace != nullptr;
-            if (any_trace) {
-                // Handoff span: time spent in this stage's channel (and,
-                // for k > 0, since the previous stage finished).
-                const std::int64_t now = obs::monotonic_us();
-                for (InferenceRequest& request : batch.requests)
-                    if (request.trace) request.trace->mark(obs::SpanKind::Handoff, now);
-            }
-            const int n = batch.activations.shape().n;
-            NpuDevice::BatchTrace trace;
-            tensor::Tensor out =
-                device.execute_batch(batch.activations.batch_view(0, n), &trace);
-            batch.latency_cycles += trace.cycles;
-            batch.latency_us += trace.latency_us;
-            batch.min_generation = std::min(batch.min_generation, trace.generation);
-            if (any_trace) {
-                const std::int64_t now = obs::monotonic_us();
-                for (InferenceRequest& request : batch.requests)
-                    if (request.trace)
-                        request.trace->mark(obs::SpanKind::Execute, now, device.id(),
-                                            static_cast<int>(k), trace.generation);
-            }
-            if (!last) {
-                batch.activations = std::move(out);
-                // Cannot fail: channel k+1 is closed only by this stage
-                // itself, after this loop exits.
-                channels_[k + 1]->push(std::move(batch));
-            } else {
-                // The whole batch ran inside one partition era (a re-cut
-                // drains every in-flight batch before remapping), so one
-                // load here labels every rider correctly.
-                const std::uint64_t partition =
-                    partition_generation_.load(std::memory_order_acquire);
-                // Count completion BEFORE fulfilling the promises: a
-                // client that has observed its result then always finds
-                // these counters covering it on the next scrape.
-                if (completed_)
-                    completed_->fetch_add(batch.requests.size(), std::memory_order_relaxed);
-                if (telemetry_) {
-                    std::size_t per_class[kNumRequestClasses] = {};
-                    for (const InferenceRequest& request : batch.requests)
-                        ++per_class[static_cast<std::size_t>(request.klass)];
-                    for (std::size_t c = 0; c < kNumRequestClasses; ++c)
-                        if (per_class[c] > 0) metrics_.completed[c]->add(per_class[c]);
-                }
-                for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-                    InferenceResult result =
-                        make_result(batch.requests[i].id, out, static_cast<int>(i));
-                    result.klass = batch.requests[i].klass;
-                    result.device_id = group_id_;
-                    result.generation = batch.min_generation;
-                    result.partition = partition;
-                    result.latency_cycles = batch.latency_cycles;
-                    result.latency_us = batch.latency_us;
-                    batch.requests[i].resolve(std::move(result));
-                }
-                if (any_trace && telemetry_) {
-                    const std::int64_t now = obs::monotonic_us();
-                    for (InferenceRequest& request : batch.requests)
-                        if (request.trace) {
-                            request.trace->mark(obs::SpanKind::Complete, now);
-                            telemetry_->traces().finish(std::move(request.trace));
-                        }
-                }
-            }
-        } catch (...) {
-            // A malformed batch (e.g. an image whose shape the engine
-            // rejects) fails its own requests, not the stage thread —
-            // the same contract worker_loop enforces on the replicated
-            // path. A batch already forwarded downstream has no
-            // requests left here.
-            fail_batch(batch.requests, std::current_exception());
-        }
-        // Boundary maintenance after the handoff: the downstream stage
-        // already works on this batch while this shard adopts/builds.
-        try {
-            device.requant_boundary();
-        } catch (...) {
-            // An inline build that throws (the batch is already
-            // resolved) must not kill the stage thread: the shard keeps
-            // serving its current deployment and retries at the next
-            // boundary.
-        }
-    }
+    while (channels_[k]->pop(batch)) run_stage(k, batch);
     // This stage is drained; cascade the close so the next one drains.
-    if (!last) channels_[k + 1]->close();
+    if (k + 1 < shards_.size()) channels_[k + 1]->close();
+}
+
+void ShardGroup::run_stage(std::size_t k, ShardBatch& batch) {
+    NpuDevice& device = *shards_[k]->device;
+    const bool pipelined = shards_.size() > 1;
+    try {
+        bool any_trace = false;
+        for (const InferenceRequest& request : batch.requests)
+            any_trace |= request.trace != nullptr;
+        if (any_trace && pipelined) {
+            // Handoff span: time spent in this stage's channel (and,
+            // for k > 0, since the previous stage finished).
+            const std::int64_t now = obs::monotonic_us();
+            for (InferenceRequest& request : batch.requests)
+                if (request.trace) request.trace->mark(obs::SpanKind::Handoff, now);
+        }
+        const int n = batch.activations.shape().n;
+        NpuDevice::BatchTrace trace;
+        tensor::Tensor out =
+            device.execute_batch(batch.activations.batch_view(0, n), batch.requests, &trace);
+        batch.latency_cycles += trace.cycles;
+        batch.latency_us += trace.latency_us;
+        batch.min_generation = std::min(batch.min_generation, trace.generation);
+        if (any_trace) {
+            const std::int64_t now = obs::monotonic_us();
+            for (InferenceRequest& request : batch.requests)
+                if (request.trace)
+                    request.trace->mark(obs::SpanKind::Execute, now, device.id(),
+                                        pipelined ? static_cast<int>(k) : -1,
+                                        trace.generation);
+        }
+        if (k + 1 < shards_.size()) {
+            batch.activations = std::move(out);
+            // Cannot fail: channel k+1 is closed only by this stage
+            // itself, after its loop exits.
+            channels_[k + 1]->push(std::move(batch));
+        } else {
+            // The whole batch ran inside one partition era (a re-cut
+            // drains every in-flight batch before remapping), so one
+            // load here labels every rider correctly.
+            const std::uint64_t partition =
+                partition_generation_.load(std::memory_order_acquire);
+            // Count completion BEFORE fulfilling the promises: a
+            // client that has observed its result then always finds
+            // these counters covering it on the next scrape.
+            if (completed_)
+                completed_->fetch_add(batch.requests.size(), std::memory_order_relaxed);
+            if (telemetry_) {
+                std::size_t per_class[kNumRequestClasses] = {};
+                for (const InferenceRequest& request : batch.requests)
+                    ++per_class[static_cast<std::size_t>(request.klass)];
+                for (std::size_t c = 0; c < kNumRequestClasses; ++c)
+                    if (per_class[c] > 0) metrics_.completed[c]->add(per_class[c]);
+            }
+            for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+                InferenceResult result =
+                    make_result(batch.requests[i].id, out, static_cast<int>(i));
+                result.klass = batch.requests[i].klass;
+                result.device_id = group_id_;
+                result.generation = batch.min_generation;
+                result.partition = partition;
+                result.latency_cycles = batch.latency_cycles;
+                result.latency_us = batch.latency_us;
+                batch.requests[i].resolve(std::move(result));
+            }
+            if (any_trace && telemetry_) {
+                const std::int64_t now = obs::monotonic_us();
+                for (InferenceRequest& request : batch.requests)
+                    if (request.trace) {
+                        request.trace->mark(obs::SpanKind::Complete, now);
+                        telemetry_->traces().finish(std::move(request.trace));
+                    }
+            }
+        }
+    } catch (...) {
+        // A malformed batch (e.g. an image whose shape the engine
+        // rejects) fails its own requests, not the stage. A batch
+        // already forwarded downstream has no requests left here.
+        fail_batch(batch.requests, std::current_exception());
+    }
+    // Boundary maintenance after the handoff: the downstream stage
+    // already works on this batch while this shard adopts/builds.
+    try {
+        device.requant_boundary();
+    } catch (...) {
+        // An inline build that throws (the batch is already resolved)
+        // must not kill the stage: the device keeps serving its current
+        // deployment and retries at the next boundary.
+    }
 }
 
 void ShardGroup::repartition_step() {
@@ -480,7 +504,7 @@ void ShardGroup::drain() {
     // restores a serving pipeline), so afterwards the channel/thread
     // vectors are stable and no new swap can start.
     if (monitor_) monitor_->stop();
-    channels_.front()->close();
+    if (!channels_.empty()) channels_.front()->close();
     for (std::thread& t : stage_threads_) t.join();
     stage_threads_.clear();
 }

@@ -1,6 +1,13 @@
-// ShardGroup — cross-device model sharding (shard = sub-plan).
+// ShardGroup — the server's one serving unit: K devices serving one model.
 //
-// Instead of replicating the whole graph on every device, a ShardGroup
+// With K = 1 the group is a whole-model device: its one stage runs the
+// full graph on the full ServeContext (eval set included, so the full
+// Algorithm 1 method search and per-request fault injection work), inline
+// on the calling worker — no stage thread, handoff channel, sub-graph
+// copy or calibration slice. A replicated fleet of M devices is M such
+// groups.
+//
+// With K >= 2 the group shards the model (shard = sub-plan): it
 // partitions the model into contiguous single-tensor-cut op ranges
 // (ir::partition_graph, balanced on systolic per-layer cycles), compiles
 // each partition into its own ExecPlan sub-plan (exec::compile_subplan —
@@ -46,10 +53,16 @@
 // counts across the differing arrays, and re-cuts keep using each
 // stage's own model.
 //
-// Restrictions (validated at construction): fault injection is
-// per-request on a whole-model device and is not supported on a
-// pipeline; the full Algorithm 1 method search needs end-to-end eval and
-// shards re-quantize via the fast path.
+// Both forms run one stage body: execute the batch on the stage's device,
+// hand the activations on, and at the last stage count completion
+// before resolving the promises (so a client that has seen its result
+// finds it counted on the next scrape), then run the device's batch
+// boundary (adopt / trigger re-quantization).
+//
+// Restrictions (validated at construction): fault injection and the
+// full Algorithm 1 method search (it needs end-to-end eval; shards
+// re-quantize via the fast path) need K = 1; per-stage arrays and online
+// re-partitioning need K >= 2.
 //
 // Shutdown protocol (driven by NpuServer): after the serve workers have
 // joined, drain() stops the repartition monitor (waiting out an
@@ -99,7 +112,7 @@ struct ShardPartition {
     int batch_capacity);
 
 struct ShardGroupConfig {
-    int num_shards = 2;
+    int num_shards = 2;  ///< pipeline stages; 1 = one whole-model device
     /// Bounded inter-shard handoff queues, in batches: the pipeline
     /// depth per stage boundary (push blocks when full — backpressure
     /// reaches the server's request queue through the feeding worker).
@@ -119,9 +132,10 @@ struct ShardGroupConfig {
     /// Online re-partitioning (off by default): re-cut the pipeline when
     /// the measured stage busy-time imbalance crosses the ratio.
     RepartitionConfig repartition;
-    /// Optional precomputed partition (must match num_shards and the
-    /// context graph; needed only for the constructor's duration). Null:
-    /// the group partitions the model itself.
+    /// Optional precomputed partition, as make_group_partition() builds
+    /// it (must match num_shards and the context graph; needed only for
+    /// the constructor's duration). Null: the group partitions the model
+    /// itself.
     const ShardPartition* partition = nullptr;
     /// Optional telemetry bundle (owned by the server, must outlive the
     /// group): shard devices register per-stage metric series, stage
@@ -135,27 +149,37 @@ struct ShardGroupConfig {
     ReliabilityPlanner* planner = nullptr;
 };
 
-class ShardGroup : public ServeUnit {
+/// The cut a group with `config` runs: num_shards stages balanced on
+/// per_shard_systolic when set (else device.systolic), compiled at
+/// device.plan_batch_capacity. Empty for a one-stage group, which runs
+/// the whole graph uncut.
+[[nodiscard]] ShardPartition make_group_partition(const ir::Graph& graph,
+                                                  const ShardGroupConfig& config);
+
+class ShardGroup {
 public:
-    /// `ctx` describes the WHOLE model; the group extracts per-shard
+    /// `ctx` describes the WHOLE model; a pipeline extracts per-shard
     /// sub-graphs and sliced calibration internally (the pointed-to
     /// objects must outlive the group). `completed` (optional) is
-    /// incremented by the final stage as promises are fulfilled.
+    /// incremented by the final stage before it fulfills the promises.
     ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupConfig& config,
                RequantService* requant_service = nullptr,
                std::atomic<std::uint64_t>* completed = nullptr);
-    ~ShardGroup() override;
+    ~ShardGroup();
 
     ShardGroup(const ShardGroup&) = delete;
     ShardGroup& operator=(const ShardGroup&) = delete;
 
-    /// Enqueue one batch into the pipeline and return immediately (the
-    /// final stage fulfills the promises; InferenceResult.device_id
-    /// reports the group id, generation the minimum shard generation
-    /// that served the batch, partition the partition generation it ran
-    /// under, latency the accumulated pipeline latency). Blocks while
+    /// Serve one batch: a one-stage group runs it to completion on the
+    /// calling thread; a pipeline enqueues it and returns (the final
+    /// stage fulfills the promises). InferenceResult.device_id reports
+    /// the group id, generation the minimum shard generation that served
+    /// the batch, partition the partition generation it ran under,
+    /// latency the accumulated stage latency. A pipeline blocks while
     /// the stage-0 handoff queue is full or a re-cut swap is in flight.
-    void serve(std::vector<InferenceRequest>& batch) override RAQ_EXCLUDES(swap_mutex_);
+    /// Throws with `batch` intact when it cannot be admitted (stacking
+    /// fails, or the pipeline is drained).
+    void serve(std::vector<InferenceRequest>& batch) RAQ_EXCLUDES(swap_mutex_);
 
     /// Close admission into the pipeline, stop the repartition monitor,
     /// drain every accepted batch and join the stage threads.
@@ -171,10 +195,11 @@ public:
     [[nodiscard]] int num_shards() const { return static_cast<int>(shards_.size()); }
     [[nodiscard]] const NpuDevice& shard(int k) const { return *shards_.at(static_cast<std::size_t>(k))->device; }
     [[nodiscard]] NpuDevice& shard(int k) { return *shards_.at(static_cast<std::size_t>(k))->device; }
-    /// Current cut metadata. Stable only while no re-cut is in flight
-    /// (quiescent group, or repartitioning disabled).
+    /// Current cut metadata (one stage: the whole graph). Stable only
+    /// while no re-cut is in flight (quiescent group, or repartitioning
+    /// disabled).
     [[nodiscard]] const ir::ShardSpec& shard_spec(int k) const { return shards_.at(static_cast<std::size_t>(k))->spec; }
-    [[nodiscard]] const ir::Graph& shard_graph(int k) const { return *shards_.at(static_cast<std::size_t>(k))->graph; }
+    [[nodiscard]] const ir::Graph& shard_graph(int k) const { return *shards_.at(static_cast<std::size_t>(k))->ctx.graph; }
 
     /// Monotonic partition generation: 1 for the construction cut,
     /// bumped by every completed drain-and-swap re-cut.
@@ -207,14 +232,22 @@ private:
         std::uint64_t min_generation = ~0ULL;
     };
 
+    /// One stage. A pipeline stage's context points at the members
+    /// above it; a one-stage group's is the whole-model context (graph
+    /// and calib stay empty).
     struct ShardState {
         ir::ShardSpec spec;
         std::shared_ptr<const ir::Graph> graph;  ///< shared with the sub-plan
         quant::CalibrationData calib;            ///< sliced onto shard tensors
-        ServeContext ctx;                        ///< points at the members above
+        ServeContext ctx;
         std::unique_ptr<NpuDevice> device;
     };
 
+    /// The stage body both forms run: execute `batch` on stage k, then
+    /// push it to stage k+1 or (last stage) count completion and fulfill
+    /// the promises; a throw fails the batch's unresolved requests. Ends
+    /// with the device's batch-boundary maintenance.
+    void run_stage(std::size_t k, ShardBatch& batch);
     void stage_loop(std::size_t k);
     void start_stages();
 
@@ -241,21 +274,21 @@ private:
     std::atomic<std::uint64_t>* completed_;
     obs::Telemetry* telemetry_;  ///< null = telemetry disabled
 
-    /// Repartition-monitor instrument handles (all null without
-    /// telemetry), registered once at construction under group=<id>.
-    struct MonitorMetrics {
+    /// Instrument handles (all null without telemetry), registered once
+    /// at construction; the repartition series (label group=<id>) only
+    /// for a pipeline.
+    struct GroupMetrics {
         obs::Counter* checks = nullptr;
         obs::Counter* triggers = nullptr;
         obs::Counter* futile = nullptr;
         obs::Counter* recuts = nullptr;
         obs::Gauge* imbalance = nullptr;
         obs::Gauge* partition_generation = nullptr;
-        /// The server-wide per-class completion counters (same labeled
-        /// series the replicated path bumps); the pipeline's last stage
-        /// owns completion here. Indexed by RequestClass.
+        /// The server-wide per-class completion counters, bumped by the
+        /// last stage. Indexed by RequestClass.
         obs::Counter* completed[kNumRequestClasses] = {};
     };
-    MonitorMetrics metrics_;
+    GroupMetrics metrics_;
 
     ServeContext full_ctx_;     ///< the WHOLE model's context (re-slicing source)
     ShardGroupConfig config_;   ///< owned copy (partition pointer nulled)
@@ -263,7 +296,8 @@ private:
     std::vector<std::unique_ptr<ShardState>> shards_;
     /// Channel k feeds shard k (bounded, close-and-drain — the same
     /// protocol as the Scheduler's lanes). Replaced wholesale by a
-    /// re-cut (old channels are closed and fully drained first).
+    /// re-cut (old channels are closed and fully drained first). Empty
+    /// for a one-stage group, which has no stage threads either.
     std::vector<std::unique_ptr<BoundedChannel<ShardBatch>>> channels_;
     std::vector<std::thread> stage_threads_;
     std::atomic<bool> drained_{false};

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "aging/aging_model.hpp"
@@ -479,6 +481,91 @@ TEST_F(Serve, MalformedRequestFailsItsFutureWithoutKillingTheServer) {
     auto good = server.submit(test_image(0));
     EXPECT_GE(good.get().predicted_class, 0);
     server.shutdown();
+}
+
+TEST_F(Serve, SampleAccuracyRefusesAnEvalSetWithFewerLabelsThanSamples) {
+    // 10 labels for 100 images. Without full_algorithm1 the server
+    // accepts the short eval set; sampling past the labels must throw
+    // instead of reading beyond them, on both layouts.
+    const std::vector<int> short_labels(eval_labels_->begin(), eval_labels_->begin() + 10);
+    serve::ServeContext ctx = context();
+    ctx.eval_labels = &short_labels;
+    for (const int shards : {1, 2}) {
+        SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+        serve::ServeConfig cfg;
+        cfg.num_devices = shards;
+        cfg.num_shards = shards;
+        serve::NpuServer server(ctx, cfg);
+        EXPECT_THROW((void)server.sample_accuracy(0, 100), std::invalid_argument);
+        // Within the labels the same eval set still samples.
+        const double acc = server.sample_accuracy(0, 10);
+        EXPECT_GE(acc, 0.0);
+        EXPECT_LE(acc, 1.0);
+        server.shutdown();
+    }
+}
+
+TEST_F(Serve, CompletionIsCountedBeforeTheResultResolves) {
+    constexpr int kTrials = 64;
+    for (const int shards : {1, 2}) {
+        SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+        serve::ServeConfig cfg;
+        cfg.num_devices = shards;
+        cfg.num_shards = shards;
+        cfg.num_workers = 1;
+        cfg.max_batch = 1;
+        cfg.telemetry.metrics = true;
+        cfg.telemetry.trace_sample_rate = 1.0;
+        serve::NpuServer server(context(), cfg);
+        const obs::MetricsRegistry& reg = server.telemetry()->metrics();
+        const obs::Counter* completed =
+            reg.find_counter("raq_requests_completed_total", {{"class", "interactive"}});
+        ASSERT_NE(completed, nullptr);
+        for (int i = 0; i < kTrials; ++i) {
+            // The completion hook runs on the serving thread right after
+            // the promise resolves: what it reads is what the fastest
+            // possible client could observe.
+            std::promise<std::pair<std::uint64_t, std::uint64_t>> at_resolve;
+            serve::NpuServer::TrySubmit attempt =
+                server.try_submit(test_image(i % 100), [&] {
+                    at_resolve.set_value({server.fleet_stats().completed, completed->value()});
+                });
+            ASSERT_EQ(attempt.status, serve::NpuServer::TrySubmit::Status::Accepted);
+            const serve::InferenceResult result = attempt.future.get();
+            EXPECT_EQ(result.device_id, 0);
+            EXPECT_EQ(result.partition, 1u);  // the unit's only cut
+            // A client holding its result must find it counted, in the
+            // fleet stats and in the scrape alike.
+            const auto want = static_cast<std::uint64_t>(i + 1);
+            const auto [stats_seen, counter_seen] = at_resolve.get_future().get();
+            ASSERT_GE(stats_seen, want) << "trial " << i;
+            ASSERT_GE(counter_seen, want) << "trial " << i;
+            ASSERT_GE(server.fleet_stats().completed, want) << "trial " << i;
+            ASSERT_GE(completed->value(), want) << "trial " << i;
+        }
+        if (shards == 1) {
+            // A one-stage group keeps the whole-model series: per-device
+            // labels without a stage, and no repartition series.
+            EXPECT_NE(reg.find_counter("raq_device_requests_total", {{"device", "0"}}), nullptr);
+            const std::string expo = server.export_metrics();
+            EXPECT_EQ(expo.find("stage=\""), std::string::npos);
+            EXPECT_EQ(expo.find("raq_repartition_checks_total"), std::string::npos);
+            // ... and the whole-model span sequence: no handoff, and an
+            // execute span without a stage.
+            const std::vector<obs::TraceContext> traces = server.telemetry()->traces().snapshot();
+            ASSERT_FALSE(traces.empty());
+            for (const obs::TraceContext& trace : traces) {
+                ASSERT_EQ(trace.spans.size(), 4u) << trace.to_string();
+                EXPECT_EQ(trace.spans[0].kind, obs::SpanKind::Queue);
+                EXPECT_EQ(trace.spans[1].kind, obs::SpanKind::Batch);
+                EXPECT_EQ(trace.spans[2].kind, obs::SpanKind::Execute);
+                EXPECT_EQ(trace.spans[2].device_id, 0);
+                EXPECT_EQ(trace.spans[2].stage, -1);
+                EXPECT_EQ(trace.spans[3].kind, obs::SpanKind::Complete);
+            }
+        }
+        server.shutdown();
+    }
 }
 
 TEST(ServeStats, LatencyReservoirBoundedWithExactAggregates) {
