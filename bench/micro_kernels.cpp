@@ -87,7 +87,8 @@ BENCHMARK(BM_NetlistFunctionalEval64);
 // One representative mid-network conv tile: 64 output channels over a
 // kdim = 64·3·3 reduction and a 1024-column (batch·hw) panel — the shape
 // class the packed pipeline was tuned on. Registered once per available
-// dispatch tier so a single run shows the scalar → sse41 → avx2 ladder.
+// dispatch tier so a single run shows the scalar → sse41 → avx2 → avxvnni
+// ladder (the unpacked bench only for tiers with an unpacked kernel).
 
 constexpr std::size_t kGemmRows = 64;
 constexpr std::size_t kGemmKdim = 64 * 3 * 3;
@@ -133,17 +134,15 @@ void BM_GemmU8Packed(benchmark::State& state, exec::kernels_simd::KernelTier tie
         state.SkipWithError("tier has no packed pipeline");
         return;
     }
-    // Weights are widened once per conv call in QuantBackend (amortized
-    // over every column tile), so the widening stays outside the loop;
-    // the per-tile pack is what each iteration pays, so it stays inside.
-    const std::size_t wstride = kGemmKdim + (kGemmKdim & 1);
-    std::vector<std::int16_t> w16(kGemmRows * wstride);
-    exec::kernels_simd::widen_weights_u8(fx.w.data(), kGemmRows, kGemmKdim, w16.data());
-    std::vector<std::int16_t> packed(
-        exec::kernels_simd::packed_panel_elems(kGemmKdim, kGemmCols, pk.col_group));
+    // Weights are prepped once per conv call in QuantBackend (amortized
+    // over every column tile), so the prep stays outside the loop; the
+    // per-tile pack is what each iteration pays, so it stays inside.
+    std::vector<std::uint8_t> prepped(kGemmRows * pk.weight_row_bytes(kGemmKdim));
+    pk.prep(fx.w.data(), kGemmRows, kGemmKdim, prepped.data());
+    std::vector<std::uint8_t> panel(pk.panel_bytes(kGemmKdim, kGemmCols));
     for (auto _ : state) {
-        pk.pack(fx.cols.data(), kGemmCols, kGemmKdim, kGemmCols, packed.data());
-        pk.gemm(w16.data(), wstride, kGemmRows, packed.data(), kGemmKdim, kGemmCols,
+        pk.pack(fx.cols.data(), kGemmCols, kGemmKdim, kGemmCols, panel.data());
+        pk.gemm(prepped.data(), kGemmRows, panel.data(), kGemmKdim, kGemmCols,
                 fx.acc.data(), kGemmCols);
         benchmark::DoNotOptimize(fx.acc.data());
     }
@@ -195,8 +194,9 @@ void BM_FloatGemm(benchmark::State& state) {
 const int kRegisterTierBenches = [] {
     for (const auto tier : exec::kernels_simd::available_tiers()) {
         const std::string name = exec::kernels_simd::tier_name(tier);
-        benchmark::RegisterBenchmark(("BM_GemmU8Unpacked/" + name).c_str(),
-                                     BM_GemmU8Unpacked, tier);
+        if (exec::kernels_simd::gemm_u8_kernel(tier) != nullptr)
+            benchmark::RegisterBenchmark(("BM_GemmU8Unpacked/" + name).c_str(),
+                                         BM_GemmU8Unpacked, tier);
         if (exec::kernels_simd::packed_kernels(tier).gemm != nullptr)
             benchmark::RegisterBenchmark(("BM_GemmU8Packed/" + name).c_str(),
                                          BM_GemmU8Packed, tier);

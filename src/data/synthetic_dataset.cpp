@@ -78,43 +78,65 @@ void render_sample(const ClassSignature& sig, int size, float noise, common::Rng
     }
 }
 
+std::size_t image_floats(const DatasetConfig& config) {
+    return 3u * static_cast<std::size_t>(config.image_size) *
+           static_cast<std::size_t>(config.image_size);
+}
+
+/// Render samples [first, last) of a split into `out`, drawing from the
+/// split's stream `rng`, which must stand just after sample first − 1.
+void render_range(const DatasetConfig& config, common::Rng& rng, int first, int last,
+                  float* out) {
+    common::Rng sig_rng(config.seed);
+    std::vector<ClassSignature> signatures;
+    signatures.reserve(static_cast<std::size_t>(config.num_classes));
+    for (int c = 0; c < config.num_classes; ++c)
+        signatures.push_back(make_signature(c, sig_rng));
+    const std::size_t pixels = image_floats(config);
+    for (int i = first; i < last; ++i) {
+        const int cls = i % config.num_classes;  // balanced classes
+        render_sample(signatures[static_cast<std::size_t>(cls)], config.image_size,
+                      config.noise_stddev, rng,
+                      out + static_cast<std::size_t>(i - first) * pixels);
+    }
+}
+
+std::vector<int> balanced_labels(int count, int num_classes) {
+    std::vector<int> labels(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i) labels[static_cast<std::size_t>(i)] = i % num_classes;
+    return labels;
+}
+
 }  // namespace
 
-SyntheticDataset::SyntheticDataset(const DatasetConfig& config) : config_(config) {
+SyntheticDataset::SyntheticDataset(const DatasetConfig& config)
+    : config_(config), train_rng_(config.seed ^ 0x7241AAu) {
     if (config_.num_classes < 2 || config_.image_size < 4)
         throw std::invalid_argument("SyntheticDataset: degenerate configuration");
-    common::Rng sig_rng(config_.seed);
-    std::vector<ClassSignature> signatures;
-    signatures.reserve(static_cast<std::size_t>(config_.num_classes));
-    for (int c = 0; c < config_.num_classes; ++c)
-        signatures.push_back(make_signature(c, sig_rng));
+    train_labels_ = balanced_labels(config_.train_size, config_.num_classes);
+    test_labels_ = balanced_labels(config_.test_size, config_.num_classes);
+    common::Rng test_rng(config_.seed ^ 0x7E57BBu);
+    test_images_.resize(static_cast<std::size_t>(config_.test_size) * image_floats(config_));
+    render_range(config_, test_rng, 0, config_.test_size, test_images_.data());
+}
 
-    const std::size_t pixels = 3u * static_cast<std::size_t>(config_.image_size) *
-                               static_cast<std::size_t>(config_.image_size);
-    auto render_split = [&](int count, std::uint64_t seed, std::vector<float>& images,
-                            std::vector<int>& labels) {
-        common::Rng rng(seed);
-        images.resize(static_cast<std::size_t>(count) * pixels);
-        labels.resize(static_cast<std::size_t>(count));
-        for (int i = 0; i < count; ++i) {
-            const int cls = i % config_.num_classes;  // balanced classes
-            labels[static_cast<std::size_t>(i)] = cls;
-            render_sample(signatures[static_cast<std::size_t>(cls)], config_.image_size,
-                          config_.noise_stddev, rng,
-                          images.data() + static_cast<std::size_t>(i) * pixels);
-        }
-    };
-    render_split(config_.train_size, config_.seed ^ 0x7241AAu, train_images_, train_labels_);
-    render_split(config_.test_size, config_.seed ^ 0x7E57BBu, test_images_, test_labels_);
+void SyntheticDataset::render_train_locked(int n) const {
+    if (n <= train_rendered_) return;
+    const std::size_t pixels = image_floats(config_);
+    train_images_.resize(static_cast<std::size_t>(n) * pixels);
+    render_range(config_, train_rng_, train_rendered_, n,
+                 train_images_.data() + static_cast<std::size_t>(train_rendered_) * pixels);
+    train_rendered_ = n;
 }
 
 tensor::Tensor SyntheticDataset::train_batch(int first, int count) const {
     if (first < 0 || first + count > config_.train_size)
         throw std::out_of_range("SyntheticDataset: train batch out of range");
-    const std::size_t pixels = 3u * static_cast<std::size_t>(config_.image_size) *
-                               static_cast<std::size_t>(config_.image_size);
+    const std::size_t pixels = image_floats(config_);
     tensor::Tensor batch(
         {count, 3, config_.image_size, config_.image_size});
+    const common::MutexLock lock(train_mutex_);
+    render_train_locked(first + count);
     std::copy(train_images_.begin() + static_cast<long>(first * pixels),
               train_images_.begin() + static_cast<long>((first + count) * pixels),
               batch.data());
@@ -146,17 +168,18 @@ std::vector<int> SyntheticDataset::epoch_order(int epoch) const {
 }
 
 tensor::Tensor SyntheticDataset::gather_train(const std::vector<int>& indices) const {
-    const std::size_t pixels = 3u * static_cast<std::size_t>(config_.image_size) *
-                               static_cast<std::size_t>(config_.image_size);
-    tensor::Tensor batch({static_cast<int>(indices.size()), 3, config_.image_size,
-                          config_.image_size});
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-        const int idx = indices[i];
+    for (const int idx : indices)
         if (idx < 0 || idx >= config_.train_size)
             throw std::out_of_range("SyntheticDataset: gather index out of range");
-        std::copy(train_images_.begin() + static_cast<long>(idx * static_cast<long>(pixels)),
-                  train_images_.begin() +
-                      static_cast<long>((idx + 1) * static_cast<long>(pixels)),
+    const std::size_t pixels = image_floats(config_);
+    tensor::Tensor batch({static_cast<int>(indices.size()), 3, config_.image_size,
+                          config_.image_size});
+    const common::MutexLock lock(train_mutex_);
+    render_train_locked(config_.train_size);
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+        const std::size_t idx = static_cast<std::size_t>(indices[i]);
+        std::copy(train_images_.begin() + static_cast<long>(idx * pixels),
+                  train_images_.begin() + static_cast<long>((idx + 1) * pixels),
                   batch.data() + i * pixels);
     }
     return batch;

@@ -29,8 +29,8 @@ struct ConvScratch {
     std::vector<std::uint8_t> qx;          ///< quantized input activation codes
     std::vector<std::uint8_t> u8_columns;  ///< integer im2col matrix
     std::vector<std::int32_t> colsum;      ///< per-column activation code sums
-    std::vector<std::int16_t> packed;      ///< interleaved i16 column panel (packed GEMM)
-    std::vector<std::int16_t> w16;         ///< widened weight matrix (packed GEMM)
+    std::vector<std::uint8_t> packed;      ///< column panel in the tier's layout (packed GEMM)
+    std::vector<std::uint8_t> wprep;       ///< weight matrix in the tier's layout (packed GEMM)
     std::vector<std::int32_t> acc32;       ///< narrow accumulator tile (fast path)
     std::vector<std::int64_t> acc64;       ///< full-width accumulator (injection/overflow-safe)
     /// Lane-private accumulator tiles for channel-split execution of one
@@ -38,7 +38,7 @@ struct ConvScratch {
     /// nothing in steady state. Indexed by ThreadPool lane.
     std::vector<std::vector<std::int32_t>> lane_acc32;
     std::vector<std::vector<std::int64_t>> lane_acc64;
-    std::vector<std::vector<std::int16_t>> lane_packed;
+    std::vector<std::vector<std::uint8_t>> lane_packed;
 };
 
 struct ExecContext {

@@ -4,10 +4,12 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define RAQ_SIMD_X86 1
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
 #if defined(__aarch64__) || defined(__ARM_NEON)
@@ -60,269 +62,261 @@ void gemm_u8_scalar(const std::uint8_t* w, std::size_t w_stride, std::size_t row
 
 #if RAQ_SIMD_X86
 
-/// Weight k-pair broadcast for pmaddwd: lanes hold the i16 pair [w_k, w_k+1],
-/// multiplying the interleaved activation pair [a_k, a_k+1] per column.
-/// Max pair sum 2·255·255 = 130050 — far inside i32, so no saturation.
-inline int weight_pair(const std::uint8_t* wrow, std::size_t k) {
-    const std::uint32_t w0 = wrow[k];
-    const std::uint32_t w1 = wrow[k + 1];
-    return static_cast<int>(w0 | (w1 << 16));
+/// One 32-bit lane of prepped weights (an i16 k-pair or an s8 k-quad), for
+/// a broadcast; memcpy keeps the read aliasing-safe.
+inline std::int32_t load_lane(const std::uint8_t* p) {
+    std::int32_t v = 0;
+    std::memcpy(&v, p, sizeof v);
+    return v;
 }
 
-__attribute__((target("sse4.1"))) void gemm_u8_sse41(
-    const std::uint8_t* w, std::size_t w_stride, std::size_t rows,
-    const std::uint8_t* cols, std::size_t col_stride, std::size_t kdim, std::size_t n,
-    std::int32_t* acc, std::size_t acc_stride) {
-    for (std::size_t r0 = 0; r0 < rows; r0 += kGemmU8RowBlock) {
-        const std::size_t mr = std::min(kGemmU8RowBlock, rows - r0);
-        std::size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-            __m128i acc_lo[kGemmU8RowBlock];  // columns j+0..3
-            __m128i acc_hi[kGemmU8RowBlock];  // columns j+4..7
-            for (std::size_t r = 0; r < mr; ++r) {
-                acc_lo[r] = _mm_setzero_si128();
-                acc_hi[r] = _mm_setzero_si128();
-            }
-            std::size_t k = 0;
-            for (; k + 2 <= kdim; k += 2) {
-                const std::uint8_t* c0 = cols + k * col_stride + j;
-                const std::uint8_t* c1 = c0 + col_stride;
-                const __m128i a0 = _mm_cvtepu8_epi16(
-                    _mm_loadl_epi64(reinterpret_cast<const __m128i*>(c0)));
-                const __m128i a1 = _mm_cvtepu8_epi16(
-                    _mm_loadl_epi64(reinterpret_cast<const __m128i*>(c1)));
-                const __m128i lo = _mm_unpacklo_epi16(a0, a1);
-                const __m128i hi = _mm_unpackhi_epi16(a0, a1);
-                for (std::size_t r = 0; r < mr; ++r) {
-                    const __m128i wp = _mm_set1_epi32(weight_pair(w + (r0 + r) * w_stride, k));
-                    acc_lo[r] = _mm_add_epi32(acc_lo[r], _mm_madd_epi16(lo, wp));
-                    acc_hi[r] = _mm_add_epi32(acc_hi[r], _mm_madd_epi16(hi, wp));
-                }
-            }
-            if (k < kdim) {  // odd kdim: pair the last row with zeros
-                const std::uint8_t* c0 = cols + k * col_stride + j;
-                const __m128i a0 = _mm_cvtepu8_epi16(
-                    _mm_loadl_epi64(reinterpret_cast<const __m128i*>(c0)));
-                const __m128i zero = _mm_setzero_si128();
-                const __m128i lo = _mm_unpacklo_epi16(a0, zero);
-                const __m128i hi = _mm_unpackhi_epi16(a0, zero);
-                for (std::size_t r = 0; r < mr; ++r) {
-                    const __m128i wp =
-                        _mm_set1_epi32(static_cast<int>(w[(r0 + r) * w_stride + k]));
-                    acc_lo[r] = _mm_add_epi32(acc_lo[r], _mm_madd_epi16(lo, wp));
-                    acc_hi[r] = _mm_add_epi32(acc_hi[r], _mm_madd_epi16(hi, wp));
-                }
-            }
-            for (std::size_t r = 0; r < mr; ++r) {
-                std::int32_t* out = acc + (r0 + r) * acc_stride + j;
-                _mm_storeu_si128(reinterpret_cast<__m128i*>(out), acc_lo[r]);
-                _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4), acc_hi[r]);
-            }
-        }
-        if (j < n)
-            gemm_u8_block_scalar(w, w_stride, r0, mr, cols, col_stride, kdim, j, n, acc,
-                                 acc_stride);
+/// Row-block loop shared by every packed GEMM. Tile::run<MR> sweeps the
+/// panel once for MR weight rows with all accumulators in registers; the
+/// rows run as kGemmU8RowBlock-row tiles plus one 3/2/1-row tail, each
+/// with a compile-time row count (a runtime count spills them).
+template <typename Tile>
+void gemm_packed_rows(const std::uint8_t* w, std::size_t rows, const std::uint8_t* panel,
+                      std::size_t kdim, std::size_t n, std::int32_t* acc,
+                      std::size_t acc_stride) {
+    static_assert(kGemmU8RowBlock == 4, "the tail switch covers 3/2/1 rows");
+    const std::size_t records = (kdim + Tile::k_group - 1) / Tile::k_group;
+    const std::size_t w_stride = records * Tile::k_group * Tile::elem_bytes;
+    const std::size_t groups = n / Tile::col_group;
+    std::size_t r = 0;
+    for (; r + 4 <= rows; r += 4)
+        Tile::template run<4>(w + r * w_stride, w_stride, panel, records, groups,
+                              acc + r * acc_stride, acc_stride);
+    const std::uint8_t* wt = w + r * w_stride;
+    std::int32_t* at = acc + r * acc_stride;
+    switch (rows - r) {
+        case 3: Tile::template run<3>(wt, w_stride, panel, records, groups, at, acc_stride); break;
+        case 2: Tile::template run<2>(wt, w_stride, panel, records, groups, at, acc_stride); break;
+        case 1: Tile::template run<1>(wt, w_stride, panel, records, groups, at, acc_stride); break;
+        default: break;
     }
 }
 
-__attribute__((target("avx2"))) void gemm_u8_avx2(
-    const std::uint8_t* w, std::size_t w_stride, std::size_t rows,
-    const std::uint8_t* cols, std::size_t col_stride, std::size_t kdim, std::size_t n,
-    std::int32_t* acc, std::size_t acc_stride) {
-    for (std::size_t r0 = 0; r0 < rows; r0 += kGemmU8RowBlock) {
-        const std::size_t mr = std::min(kGemmU8RowBlock, rows - r0);
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16) {
-            // 256-bit unpack interleaves within 128-bit lanes, so acc_lo
-            // holds columns {0..3, 8..11} and acc_hi {4..7, 12..15}; the
-            // permutation is constant across k and undone once at store.
-            __m256i acc_lo[kGemmU8RowBlock];
-            __m256i acc_hi[kGemmU8RowBlock];
-            for (std::size_t r = 0; r < mr; ++r) {
-                acc_lo[r] = _mm256_setzero_si256();
-                acc_hi[r] = _mm256_setzero_si256();
-            }
-            std::size_t k = 0;
-            for (; k + 2 <= kdim; k += 2) {
-                const std::uint8_t* c0 = cols + k * col_stride + j;
-                const std::uint8_t* c1 = c0 + col_stride;
-                const __m256i a0 = _mm256_cvtepu8_epi16(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(c0)));
-                const __m256i a1 = _mm256_cvtepu8_epi16(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(c1)));
-                const __m256i lo = _mm256_unpacklo_epi16(a0, a1);
-                const __m256i hi = _mm256_unpackhi_epi16(a0, a1);
-                for (std::size_t r = 0; r < mr; ++r) {
-                    const __m256i wp =
-                        _mm256_set1_epi32(weight_pair(w + (r0 + r) * w_stride, k));
-                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(lo, wp));
-                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(hi, wp));
-                }
-            }
-            if (k < kdim) {
-                const std::uint8_t* c0 = cols + k * col_stride + j;
-                const __m256i a0 = _mm256_cvtepu8_epi16(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(c0)));
-                const __m256i zero = _mm256_setzero_si256();
-                const __m256i lo = _mm256_unpacklo_epi16(a0, zero);
-                const __m256i hi = _mm256_unpackhi_epi16(a0, zero);
-                for (std::size_t r = 0; r < mr; ++r) {
-                    const __m256i wp =
-                        _mm256_set1_epi32(static_cast<int>(w[(r0 + r) * w_stride + k]));
-                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(lo, wp));
-                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(hi, wp));
-                }
-            }
-            for (std::size_t r = 0; r < mr; ++r) {
-                std::int32_t* out = acc + (r0 + r) * acc_stride + j;
-                _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
-                                    _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20));
-                _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8),
-                                    _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x31));
-            }
+/// The packed kernel set of one tile family.
+template <typename Tile>
+PackedKernels packed_set(PrepWeightsFn prep, PackColsFn pack, std::int32_t w_offset) {
+    return {prep, pack, &gemm_packed_rows<Tile>, Tile::col_group, Tile::k_group,
+            Tile::elem_bytes, w_offset};
+}
+
+/// Sse41/Avx2 weight prep: each code as an i16, rows zero-padded to even
+/// kdim so the pair broadcast at the last k never reads past the row.
+void prep_weights_pairs(const std::uint8_t* w, std::size_t rows, std::size_t kdim,
+                        std::uint8_t* prepped) {
+    const std::size_t stride = kdim + (kdim & 1);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t k = 0; k < stride; ++k) {
+            const std::int16_t v = k < kdim ? w[r * kdim + k] : 0;
+            std::memcpy(prepped + 2 * (r * stride + k), &v, sizeof v);
         }
-        if (j < n)
-            gemm_u8_block_scalar(w, w_stride, r0, mr, cols, col_stride, kdim, j, n, acc,
-                                 acc_stride);
     }
 }
 
-__attribute__((target("sse4.1"))) void pack_cols_sse41(const std::uint8_t* cols,
-                                                       std::size_t col_stride,
-                                                       std::size_t kdim, std::size_t n,
-                                                       std::int16_t* packed) {
-    const std::size_t groups = n / 8;
-    for (std::size_t g = 0; g < groups; ++g) {
+/// AvxVnni weight prep: each code as the s8 w ^ 0x80 = w − 128, rows
+/// zero-padded to a multiple of 4 (the padded k rows of the panel are
+/// zero, so the pad value never reaches an accumulator).
+void prep_weights_quads(const std::uint8_t* w, std::size_t rows, std::size_t kdim,
+                        std::uint8_t* prepped) {
+    const std::size_t stride = (kdim + 3) & ~std::size_t{3};
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t k = 0; k < kdim; ++k)
+            prepped[r * stride + k] = static_cast<std::uint8_t>(w[r * kdim + k] ^ 0x80u);
+        for (std::size_t k = kdim; k < stride; ++k) prepped[r * stride + k] = 0;
+    }
+}
+
+__attribute__((target("sse4.1"))) void pack_pairs_sse41(const std::uint8_t* cols,
+                                                        std::size_t col_stride,
+                                                        std::size_t kdim, std::size_t n,
+                                                        std::uint8_t* panel) {
+    const __m128i zero = _mm_setzero_si128();
+    for (std::size_t g = 0; g < n / 8; ++g) {
         const std::uint8_t* base = cols + g * 8;
-        std::int16_t* dst = packed;
-        packed += ((kdim + 1) / 2) * 16;
-        std::size_t k = 0;
-        for (; k + 2 <= kdim; k += 2, dst += 16) {
+        for (std::size_t k = 0; k < kdim; k += 2, panel += 32) {
             const __m128i a0 = _mm_cvtepu8_epi16(
                 _mm_loadl_epi64(reinterpret_cast<const __m128i*>(base + k * col_stride)));
-            const __m128i a1 = _mm_cvtepu8_epi16(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i*>(base + (k + 1) * col_stride)));
-            _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), _mm_unpacklo_epi16(a0, a1));
-            _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 8), _mm_unpackhi_epi16(a0, a1));
-        }
-        if (k < kdim) {  // odd kdim: the pair's second element is zero
-            const __m128i a0 = _mm_cvtepu8_epi16(
-                _mm_loadl_epi64(reinterpret_cast<const __m128i*>(base + k * col_stride)));
-            const __m128i zero = _mm_setzero_si128();
-            _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), _mm_unpacklo_epi16(a0, zero));
-            _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 8),
-                             _mm_unpackhi_epi16(a0, zero));
+            // Odd kdim: the last pair's second element is zero.
+            const __m128i a1 = k + 1 < kdim ? _mm_cvtepu8_epi16(_mm_loadl_epi64(
+                                                  reinterpret_cast<const __m128i*>(
+                                                      base + (k + 1) * col_stride)))
+                                            : zero;
+            _mm_storeu_si128(reinterpret_cast<__m128i*>(panel), _mm_unpacklo_epi16(a0, a1));
+            _mm_storeu_si128(reinterpret_cast<__m128i*>(panel + 16),
+                             _mm_unpackhi_epi16(a0, a1));
         }
     }
 }
 
-__attribute__((target("sse4.1"))) void gemm_packed_sse41(
-    const std::int16_t* w16, std::size_t w_stride, std::size_t rows,
-    const std::int16_t* packed, std::size_t kdim, std::size_t n, std::int32_t* acc,
-    std::size_t acc_stride) {
-    const std::size_t groups = n / 8;
-    const std::size_t kp = (kdim + 1) / 2;
-    for (std::size_t r0 = 0; r0 < rows; r0 += kGemmU8RowBlock) {
-        const std::size_t mr = std::min(kGemmU8RowBlock, rows - r0);
+struct TileSse41 {
+    static constexpr std::size_t col_group = 8, k_group = 2, elem_bytes = 2;
+
+    template <std::size_t MR>
+    __attribute__((target("sse4.1"))) static void run(
+        const std::uint8_t* w, std::size_t w_stride, const std::uint8_t* panel,
+        std::size_t records, std::size_t groups, std::int32_t* acc, std::size_t acc_stride) {
         for (std::size_t g = 0; g < groups; ++g) {
-            const std::int16_t* src = packed + g * kp * 16;
-            __m128i acc_lo[kGemmU8RowBlock];  // columns j+0..3
-            __m128i acc_hi[kGemmU8RowBlock];  // columns j+4..7
-            for (std::size_t r = 0; r < mr; ++r) {
-                acc_lo[r] = _mm_setzero_si128();
-                acc_hi[r] = _mm_setzero_si128();
-            }
-            for (std::size_t p = 0; p < kp; ++p, src += 16) {
-                const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
-                const __m128i hi =
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 8));
-                for (std::size_t r = 0; r < mr; ++r) {
-                    const __m128i wp = _mm_set1_epi32(*reinterpret_cast<const int*>(
-                        w16 + (r0 + r) * w_stride + 2 * p));
-                    acc_lo[r] = _mm_add_epi32(acc_lo[r], _mm_madd_epi16(lo, wp));
-                    acc_hi[r] = _mm_add_epi32(acc_hi[r], _mm_madd_epi16(hi, wp));
+            const std::uint8_t* src = panel + g * records * 32;
+            __m128i lo[MR];  // columns 0..3 of the group
+            __m128i hi[MR];  // columns 4..7
+            for (std::size_t r = 0; r < MR; ++r) lo[r] = hi[r] = _mm_setzero_si128();
+            for (std::size_t p = 0; p < records; ++p, src += 32) {
+                const __m128i a_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
+                const __m128i a_hi =
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 16));
+                for (std::size_t r = 0; r < MR; ++r) {
+                    const __m128i wp = _mm_set1_epi32(load_lane(w + r * w_stride + 4 * p));
+                    lo[r] = _mm_add_epi32(lo[r], _mm_madd_epi16(a_lo, wp));
+                    hi[r] = _mm_add_epi32(hi[r], _mm_madd_epi16(a_hi, wp));
                 }
             }
-            for (std::size_t r = 0; r < mr; ++r) {
-                std::int32_t* out = acc + (r0 + r) * acc_stride + g * 8;
-                _mm_storeu_si128(reinterpret_cast<__m128i*>(out), acc_lo[r]);
-                _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4), acc_hi[r]);
+            for (std::size_t r = 0; r < MR; ++r) {
+                std::int32_t* out = acc + r * acc_stride + g * 8;
+                _mm_storeu_si128(reinterpret_cast<__m128i*>(out), lo[r]);
+                _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4), hi[r]);
             }
         }
     }
-}
+};
 
-__attribute__((target("avx2"))) void pack_cols_avx2(const std::uint8_t* cols,
-                                                    std::size_t col_stride,
-                                                    std::size_t kdim, std::size_t n,
-                                                    std::int16_t* packed) {
-    const std::size_t groups = n / 16;
-    for (std::size_t g = 0; g < groups; ++g) {
+__attribute__((target("avx2"))) void pack_pairs_avx2(const std::uint8_t* cols,
+                                                     std::size_t col_stride,
+                                                     std::size_t kdim, std::size_t n,
+                                                     std::uint8_t* panel) {
+    const __m256i zero = _mm256_setzero_si256();
+    for (std::size_t g = 0; g < n / 16; ++g) {
         const std::uint8_t* base = cols + g * 16;
-        std::int16_t* dst = packed;
-        packed += ((kdim + 1) / 2) * 32;
-        std::size_t k = 0;
-        for (; k + 2 <= kdim; k += 2, dst += 32) {
+        for (std::size_t k = 0; k < kdim; k += 2, panel += 64) {
             const __m256i a0 = _mm256_cvtepu8_epi16(
                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + k * col_stride)));
-            const __m256i a1 = _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(base + (k + 1) * col_stride)));
-            // Same lane-local interleave as the unpacked kernel: groups
-            // carry columns {0..3, 8..11} then {4..7, 12..15}; the GEMM
-            // un-permutes once at its store, so the layout cancels out.
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+            // Odd kdim: the last pair's second element is zero.
+            const __m256i a1 = k + 1 < kdim ? _mm256_cvtepu8_epi16(_mm_loadu_si128(
+                                                  reinterpret_cast<const __m128i*>(
+                                                      base + (k + 1) * col_stride)))
+                                            : zero;
+            // The 256-bit unpack interleaves within 128-bit lanes, so a
+            // record holds columns {0..3, 8..11} then {4..7, 12..15}; the
+            // GEMM un-permutes once at its store.
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(panel),
                                 _mm256_unpacklo_epi16(a0, a1));
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 16),
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(panel + 32),
                                 _mm256_unpackhi_epi16(a0, a1));
         }
-        if (k < kdim) {  // odd kdim: the pair's second element is zero
-            const __m256i a0 = _mm256_cvtepu8_epi16(
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + k * col_stride)));
-            const __m256i zero = _mm256_setzero_si256();
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                                _mm256_unpacklo_epi16(a0, zero));
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 16),
-                                _mm256_unpackhi_epi16(a0, zero));
+    }
+}
+
+struct TileAvx2 {
+    static constexpr std::size_t col_group = 16, k_group = 2, elem_bytes = 2;
+
+    template <std::size_t MR>
+    __attribute__((target("avx2"))) static void run(
+        const std::uint8_t* w, std::size_t w_stride, const std::uint8_t* panel,
+        std::size_t records, std::size_t groups, std::int32_t* acc, std::size_t acc_stride) {
+        for (std::size_t g = 0; g < groups; ++g) {
+            const std::uint8_t* src = panel + g * records * 64;
+            __m256i lo[MR];  // columns {0..3, 8..11} of the group
+            __m256i hi[MR];  // columns {4..7, 12..15}
+            for (std::size_t r = 0; r < MR; ++r) lo[r] = hi[r] = _mm256_setzero_si256();
+            for (std::size_t p = 0; p < records; ++p, src += 64) {
+                const __m256i a_lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+                const __m256i a_hi =
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 32));
+                for (std::size_t r = 0; r < MR; ++r) {
+                    const __m256i wp = _mm256_set1_epi32(load_lane(w + r * w_stride + 4 * p));
+                    lo[r] = _mm256_add_epi32(lo[r], _mm256_madd_epi16(a_lo, wp));
+                    hi[r] = _mm256_add_epi32(hi[r], _mm256_madd_epi16(a_hi, wp));
+                }
+            }
+            for (std::size_t r = 0; r < MR; ++r) {
+                std::int32_t* out = acc + r * acc_stride + g * 16;
+                _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                                    _mm256_permute2x128_si256(lo[r], hi[r], 0x20));
+                _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8),
+                                    _mm256_permute2x128_si256(lo[r], hi[r], 0x31));
+            }
+        }
+    }
+};
+
+/// AvxVnni panel: per 16-column group, one 64-byte record per k-quad,
+/// column c's four k values in bytes [4c, 4c + 4) — the 32-bit lane
+/// vpdpbusd reduces. Two byte then two word interleaves transpose the
+/// four 16-column rows; k rows past kdim read as zero.
+__attribute__((target("avx2"))) void pack_quads(const std::uint8_t* cols,
+                                                std::size_t col_stride, std::size_t kdim,
+                                                std::size_t n, std::uint8_t* panel) {
+    const __m128i zero = _mm_setzero_si128();
+    for (std::size_t g = 0; g < n / 16; ++g) {
+        const std::uint8_t* base = cols + g * 16;
+        for (std::size_t k = 0; k < kdim; k += 4, panel += 64) {
+            __m128i row[4];
+            for (std::size_t i = 0; i < 4; ++i)
+                row[i] = k + i < kdim ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                                            base + (k + i) * col_stride))
+                                      : zero;
+            const __m128i k01_lo = _mm_unpacklo_epi8(row[0], row[1]);  // columns 0..7
+            const __m128i k01_hi = _mm_unpackhi_epi8(row[0], row[1]);  // columns 8..15
+            const __m128i k23_lo = _mm_unpacklo_epi8(row[2], row[3]);
+            const __m128i k23_hi = _mm_unpackhi_epi8(row[2], row[3]);
+            __m128i* dst = reinterpret_cast<__m128i*>(panel);
+            _mm_storeu_si128(dst, _mm_unpacklo_epi16(k01_lo, k23_lo));      // columns 0..3
+            _mm_storeu_si128(dst + 1, _mm_unpackhi_epi16(k01_lo, k23_lo));  // columns 4..7
+            _mm_storeu_si128(dst + 2, _mm_unpacklo_epi16(k01_hi, k23_hi));  // columns 8..11
+            _mm_storeu_si128(dst + 3, _mm_unpackhi_epi16(k01_hi, k23_hi));  // columns 12..15
         }
     }
 }
 
-__attribute__((target("avx2"))) void gemm_packed_avx2(
-    const std::int16_t* w16, std::size_t w_stride, std::size_t rows,
-    const std::int16_t* packed, std::size_t kdim, std::size_t n, std::int32_t* acc,
-    std::size_t acc_stride) {
-    const std::size_t groups = n / 16;
-    const std::size_t kp = (kdim + 1) / 2;
-    for (std::size_t r0 = 0; r0 < rows; r0 += kGemmU8RowBlock) {
-        const std::size_t mr = std::min(kGemmU8RowBlock, rows - r0);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const std::int16_t* src = packed + g * kp * 32;
-            __m256i acc_lo[kGemmU8RowBlock];
-            __m256i acc_hi[kGemmU8RowBlock];
-            for (std::size_t r = 0; r < mr; ++r) {
-                acc_lo[r] = _mm256_setzero_si256();
-                acc_hi[r] = _mm256_setzero_si256();
-            }
-            for (std::size_t p = 0; p < kp; ++p, src += 32) {
-                const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
-                const __m256i hi =
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 16));
-                for (std::size_t r = 0; r < mr; ++r) {
-                    const __m256i wp = _mm256_set1_epi32(*reinterpret_cast<const int*>(
-                        w16 + (r0 + r) * w_stride + 2 * p));
-                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(lo, wp));
-                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(hi, wp));
-                }
-            }
-            for (std::size_t r = 0; r < mr; ++r) {
-                std::int32_t* out = acc + (r0 + r) * acc_stride + g * 16;
-                _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
-                                    _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20));
-                _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8),
-                                    _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x31));
-            }
-        }
-    }
+/// AvxVnni tile: 4×16 (or 3/2/1×16) ymm accumulators, one vpdpbusd per
+/// row and half-group per k-quad — u8 activations times the broadcast s8
+/// weight quad. A target attribute cannot depend on a template argument,
+/// so the one body is stamped out for both encodings of the instruction.
+#define RAQ_VNNI_TILE(NAME, TARGET, DPBUSD)                                               \
+    struct NAME {                                                                         \
+        static constexpr std::size_t col_group = 16, k_group = 4, elem_bytes = 1;         \
+                                                                                          \
+        template <std::size_t MR>                                                         \
+        __attribute__((target(TARGET))) static void run(                                  \
+            const std::uint8_t* w, std::size_t w_stride, const std::uint8_t* panel,       \
+            std::size_t records, std::size_t groups, std::int32_t* acc,                   \
+            std::size_t acc_stride) {                                                     \
+            for (std::size_t g = 0; g < groups; ++g) {                                    \
+                const std::uint8_t* src = panel + g * records * 64;                       \
+                __m256i lo[MR]; /* columns 0..7 of the group */                           \
+                __m256i hi[MR]; /* columns 8..15 */                                       \
+                for (std::size_t r = 0; r < MR; ++r) lo[r] = hi[r] = _mm256_setzero_si256(); \
+                for (std::size_t q = 0; q < records; ++q, src += 64) {                    \
+                    const __m256i a_lo =                                                  \
+                        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));        \
+                    const __m256i a_hi =                                                  \
+                        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 32));   \
+                    for (std::size_t r = 0; r < MR; ++r) {                                \
+                        const __m256i wq =                                                \
+                            _mm256_set1_epi32(load_lane(w + r * w_stride + 4 * q));       \
+                        lo[r] = DPBUSD(lo[r], a_lo, wq);                                  \
+                        hi[r] = DPBUSD(hi[r], a_hi, wq);                                  \
+                    }                                                                     \
+                }                                                                         \
+                for (std::size_t r = 0; r < MR; ++r) {                                    \
+                    std::int32_t* out = acc + r * acc_stride + g * 16;                    \
+                    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), lo[r]);          \
+                    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8), hi[r]);      \
+                }                                                                         \
+            }                                                                             \
+        }                                                                                 \
+    };
+RAQ_VNNI_TILE(TileAvxVnni, "avx2,avxvnni", _mm256_dpbusd_avx_epi32)
+RAQ_VNNI_TILE(TileAvx512Vnni, "avx2,avx512vnni,avx512vl", _mm256_dpbusd_epi32)
+#undef RAQ_VNNI_TILE
+
+/// AVX-VNNI: CPUID.(EAX=7, ECX=1):EAX[4]. The OS-saved ymm state it
+/// needs is already part of the AVX2 check.
+bool cpu_has_avx_vnni() {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) != 0 && (eax & (1u << 4)) != 0;
 }
 
 /// f64 epilogue (see EpilogueFn): every operand is an exact integer in
@@ -577,7 +571,12 @@ std::vector<KernelTier> detect_tiers() {
     std::vector<KernelTier> tiers{KernelTier::Scalar};
 #if RAQ_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
     if (__builtin_cpu_supports("sse4.1")) tiers.push_back(KernelTier::Sse41);
-    if (__builtin_cpu_supports("avx2")) tiers.push_back(KernelTier::Avx2);
+    if (__builtin_cpu_supports("avx2")) {
+        tiers.push_back(KernelTier::Avx2);
+        if (cpu_has_avx_vnni() ||
+            (__builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512vl")))
+            tiers.push_back(KernelTier::AvxVnni);
+    }
 #endif
 #if RAQ_SIMD_NEON
     tiers.push_back(KernelTier::Neon);
@@ -605,6 +604,7 @@ const char* tier_name(KernelTier tier) {
         case KernelTier::Scalar: return "scalar";
         case KernelTier::Sse41: return "sse41";
         case KernelTier::Avx2: return "avx2";
+        case KernelTier::AvxVnni: return "avxvnni";
         case KernelTier::Neon: return "neon";
     }
     return "scalar";
@@ -628,6 +628,7 @@ QuantizeU8Fn quantize_u8_kernel(KernelTier tier) {
         case KernelTier::Sse41:
             return &quantize_u8_sse41;
         case KernelTier::Avx2:
+        case KernelTier::AvxVnni:
             return &quantize_u8_avx2;
 #endif
 #if defined(__aarch64__)
@@ -639,26 +640,20 @@ QuantizeU8Fn quantize_u8_kernel(KernelTier tier) {
     }
 }
 
-void widen_weights_u8(const std::uint8_t* w, std::size_t rows, std::size_t kdim,
-                      std::int16_t* w16) {
-    const std::size_t stride = kdim + (kdim & 1);
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::int16_t* dst = w16 + r * stride;
-        for (std::size_t k = 0; k < kdim; ++k)
-            dst[k] = static_cast<std::int16_t>(w[r * kdim + k]);
-        if (kdim & 1) dst[kdim] = 0;
-    }
-}
-
 PackedKernels packed_kernels(KernelTier tier) {
     const std::vector<KernelTier>& tiers = available_tiers();
     if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) return {};
     switch (tier) {
 #if RAQ_SIMD_X86
         case KernelTier::Sse41:
-            return {&pack_cols_sse41, &gemm_packed_sse41, 8};
+            return packed_set<TileSse41>(&prep_weights_pairs, &pack_pairs_sse41, 0);
         case KernelTier::Avx2:
-            return {&pack_cols_avx2, &gemm_packed_avx2, 16};
+            return packed_set<TileAvx2>(&prep_weights_pairs, &pack_pairs_avx2, 0);
+        case KernelTier::AvxVnni:
+            // Prefer the VEX form: a CPU with AVX-VNNI may lack AVX-512.
+            return cpu_has_avx_vnni()
+                       ? packed_set<TileAvxVnni>(&prep_weights_quads, &pack_quads, 128)
+                       : packed_set<TileAvx512Vnni>(&prep_weights_quads, &pack_quads, 128);
 #endif
         default:
             return {};
@@ -673,6 +668,7 @@ EpilogueFn epilogue_kernel(KernelTier tier) {
         case KernelTier::Sse41:
             return &epilogue_sse41;
         case KernelTier::Avx2:
+        case KernelTier::AvxVnni:
             return &epilogue_avx2;
 #endif
         default:
@@ -688,6 +684,7 @@ ColSumFn colsum_kernel(KernelTier tier) {
         case KernelTier::Sse41:
             return &colsum_sse41;
         case KernelTier::Avx2:
+        case KernelTier::AvxVnni:
             return &colsum_avx2;
 #endif
         default:
@@ -697,23 +694,16 @@ ColSumFn colsum_kernel(KernelTier tier) {
 
 GemmU8Fn gemm_u8_kernel(KernelTier tier) {
     const std::vector<KernelTier>& tiers = available_tiers();
-    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end())
-        return &gemm_u8_scalar;
+    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) return nullptr;
     switch (tier) {
         case KernelTier::Scalar:
             return &gemm_u8_scalar;
-#if RAQ_SIMD_X86
-        case KernelTier::Sse41:
-            return &gemm_u8_sse41;
-        case KernelTier::Avx2:
-            return &gemm_u8_avx2;
-#endif
 #if RAQ_SIMD_NEON
         case KernelTier::Neon:
             return &gemm_u8_neon;
 #endif
         default:
-            return &gemm_u8_scalar;
+            return nullptr;
     }
 }
 

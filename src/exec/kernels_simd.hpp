@@ -10,16 +10,21 @@
 //             injection path never reaches these kernels at all (it keeps
 //             the seed interpreter's per-product loop inside QuantBackend),
 //             so injection stays bit-identical to the seed by construction.
-//   Sse41   — 128-bit x86: widen u8→i16, interleave k-pairs, pmaddwd.
+//   Sse41   — 128-bit x86: i16 weights, interleaved k-pair panels, pmaddwd.
 //   Avx2    — 256-bit x86: same pair-madd scheme on 16-column tiles.
+//   AvxVnni — 256-bit x86 with VNNI: s8 weights (w − 128), u8 k-quad
+//             panels, one vpdpbusd per four products. The −128 offset
+//             folds into the zero-point epilogue (PackedKernels::w_offset).
+//             Either AVX-VNNI (VEX) or AVX512-VNNI + AVX512VL (the EVEX
+//             form of the same ymm instruction) enables it; no zmm code.
 //   Neon    — 64/128-bit ARM: vmovl_u8 + vmlal_u16 widening multiply-add.
 //
 // Dispatch is decided once per process from CPUID (overridable with the
-// RAQ_KERNEL_TIER environment variable: scalar|sse41|avx2|neon) and the
-// selected kernel is routed through QuantBackend::conv. Kernels with an
-// unavailable instruction set are never invoked: x86 variants are built
-// with per-function target attributes (not file-level flags), so no
-// AVX2/SSE4.1 instruction can leak into always-executed code.
+// RAQ_KERNEL_TIER environment variable: scalar|sse41|avx2|avxvnni|neon)
+// and the selected kernels are routed through QuantBackend::conv. Kernels
+// with an unavailable instruction set are never invoked: x86 variants are
+// built with per-function target attributes (not file-level flags), so no
+// AVX2/SSE4.1/VNNI instruction can leak into always-executed code.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +38,10 @@ enum class KernelTier : int {
     Sse41 = 1,
     Avx2 = 2,
     Neon = 3,
+    AvxVnni = 4,
 };
 
-/// Stable lower-case name ("scalar", "sse41", "avx2", "neon").
+/// Stable lower-case name ("scalar", "sse41", "avx2", "avxvnni", "neon").
 [[nodiscard]] const char* tier_name(KernelTier tier);
 
 /// Tiers usable on this machine, ascending preference (Scalar first).
@@ -47,10 +53,11 @@ enum class KernelTier : int {
 
 /// Row blocking of every kernel: each call sweeps the column tile once
 /// per block of this many weight rows, keeping the accumulators in
-/// registers. Callers size their accumulator scratch as a multiple of it.
+/// registers (a compile-time 4-row tile, then one 3/2/1-row tail).
+/// Callers size their accumulator scratch as a multiple of it.
 inline constexpr std::size_t kGemmU8RowBlock = 4;
 
-/// u8×u8→i32 GEMM microkernel:
+/// Unpacked u8×u8→i32 GEMM microkernel:
 ///   acc[r * acc_stride + j] = Σ_k w[r * w_stride + k] · cols[k * col_stride + j]
 /// for r in [0, rows), j in [0, n). Overwrites `acc` (no accumulate-into).
 /// Requires kdim · 255² ≤ INT32_MAX (the plan's acc32_safe bound); wider
@@ -60,62 +67,84 @@ using GemmU8Fn = void (*)(const std::uint8_t* w, std::size_t w_stride, std::size
                           std::size_t kdim, std::size_t n, std::int32_t* acc,
                           std::size_t acc_stride);
 
-/// Kernel for a tier. Every available tier returns a non-null function;
-/// asking for an unavailable tier returns the scalar kernel.
+/// Unpacked kernel of an available tier that has one: the scalar
+/// reference and NEON. Null for the x86 tiers, whose conv path is packed.
 [[nodiscard]] GemmU8Fn gemm_u8_kernel(KernelTier tier);
 
-/// Packed fast path (x86 tiers): the unpacked kernels above re-widen and
-/// re-interleave every column tile once per row block, which is the
-/// dominant cost for shallow convolutions. The packed pipeline lifts that
-/// prep out of the row loop entirely:
+/// Packed pipeline (x86 tiers). The operands are laid out once in the
+/// exact order the tier's multiply instruction consumes, so the GEMM's
+/// inner loop is nothing but loads, one weight broadcast per row and
+/// multiply-adds:
 ///
-///   1. `pack` widens a column tile once into interleaved i16 k-pairs
-///      (layout: per group of `col_group` columns, ceil(kdim/2) records of
-///      2·col_group i16, each holding [a_k, a_k+1] per column — the exact
-///      operand order pmaddwd consumes; odd kdim pads the last record's
-///      second element with zero, so the GEMM never needs a k-tail).
-///   2. `gemm` multiplies pre-widened i16 weights (see widen_weights_u8)
-///      against the packed panel; the weight-pair broadcast becomes a pure
-///      memory vpbroadcastd and the inner loop is nothing but madd/add.
+///   1. `prep` lays a u8 weight matrix [rows, kdim] out as the GEMM's
+///      weight operand: rows of kdim_padded(kdim) elements, each the code
+///      minus `w_offset`, zero-padded past kdim. Once per conv call.
+///   2. `pack` lays a column tile out as a panel: per group of
+///      `col_group` columns, kdim_padded(kdim) / k_group records, each
+///      holding k_group consecutive k values of every column (columns
+///      outer, k inner). Rows past kdim are zero, so the GEMM has no
+///      k-tail. Once per column tile.
+///   3. `gemm` multiplies prepped rows against the panel:
+///        acc[r * acc_stride + j] = Σ_k (w[r][k] − w_offset) · cols[k][j]
+///      for full column groups only; callers run the scalar reference
+///      (with the same offset) on the (< col_group)-column tail.
 ///
-/// Both stages compute the same exact i32 dot products as every other
-/// tier. `gemm` only covers full column groups — callers run the scalar
-/// reference on the (< col_group)-column tail of the raw tile.
+/// Layouts per tier:
+///   Sse41/Avx2 — i16 elements, k_group 2: k-pairs [a_k, a_k+1] per
+///                column, the operand order of pmaddwd. w_offset 0.
+///   AvxVnni    — u8 activations, s8 weights, k_group 4: one 64-byte
+///                record is 16 columns × 4 k, each column's k-quad one
+///                32-bit lane of vpdpbusd. w_offset 128: the s8 weight is
+///                w ^ 0x80 = w − 128.
+///
+/// The offset is exact: Σ_k a·w = Σ_k a·(w − 128) + 128·colsum, so the
+/// zero-point epilogue, which subtracts zw·colsum, subtracts
+/// (zw − w_offset)·colsum instead and every corrected accumulator is the
+/// same integer. |Σ_k a·(w − 128)| ≤ kdim·255·128 < kdim·255², so the
+/// acc32_safe bound covers the offset accumulators too.
+using PrepWeightsFn = void (*)(const std::uint8_t* w, std::size_t rows, std::size_t kdim,
+                               std::uint8_t* prepped);
 using PackColsFn = void (*)(const std::uint8_t* cols, std::size_t col_stride,
-                            std::size_t kdim, std::size_t n, std::int16_t* packed);
-using GemmPackedFn = void (*)(const std::int16_t* w16, std::size_t w_stride,
-                              std::size_t rows, const std::int16_t* packed,
-                              std::size_t kdim, std::size_t n, std::int32_t* acc,
-                              std::size_t acc_stride);
+                            std::size_t kdim, std::size_t n, std::uint8_t* panel);
+using GemmPackedFn = void (*)(const std::uint8_t* prepped, std::size_t rows,
+                              const std::uint8_t* panel, std::size_t kdim, std::size_t n,
+                              std::int32_t* acc, std::size_t acc_stride);
 struct PackedKernels {
+    PrepWeightsFn prep = nullptr;
     PackColsFn pack = nullptr;
     GemmPackedFn gemm = nullptr;
-    std::size_t col_group = 0;  ///< pack/gemm column granularity (0 ⇔ no packed path)
+    std::size_t col_group = 0;   ///< columns per panel group (0 ⇔ no packed path)
+    std::size_t k_group = 1;     ///< k values per record: 2 (pmaddwd) or 4 (vpdpbusd)
+    std::size_t elem_bytes = 1;  ///< bytes per operand element: 2 (i16) or 1 (u8/s8)
+    std::int32_t w_offset = 0;   ///< prepped weights hold w − w_offset
+
+    /// kdim rounded up to a whole record.
+    [[nodiscard]] constexpr std::size_t kdim_padded(std::size_t kdim) const {
+        return (kdim + k_group - 1) / k_group * k_group;
+    }
+    /// Bytes of one prepped weight row (the GEMM's row stride).
+    [[nodiscard]] constexpr std::size_t weight_row_bytes(std::size_t kdim) const {
+        return kdim_padded(kdim) * elem_bytes;
+    }
+    /// Bytes a panel of `n` columns occupies (full groups only; callers
+    /// pass n rounded down to a multiple of col_group).
+    [[nodiscard]] constexpr std::size_t panel_bytes(std::size_t kdim, std::size_t n) const {
+        return col_group == 0 ? 0 : (n / col_group) * col_group * weight_row_bytes(kdim);
+    }
 };
 
 /// Packed kernel set for a tier; all-null/zero for tiers without one
-/// (scalar and NEON keep the plain kernels).
+/// (scalar and NEON keep the unpacked kernels).
 [[nodiscard]] PackedKernels packed_kernels(KernelTier tier);
-
-/// i16 elements a packed panel occupies for `n` columns (full groups
-/// only; callers pass n rounded down to a multiple of col_group).
-[[nodiscard]] constexpr std::size_t packed_panel_elems(std::size_t kdim, std::size_t n,
-                                                       std::size_t col_group) {
-    return col_group == 0 ? 0 : (n / col_group) * ((kdim + 1) / 2) * 2 * col_group;
-}
-
-/// Widen a u8 weight matrix to the i16 layout GemmPackedFn consumes: row
-/// stride kdim rounded up to even, odd-kdim rows padded with a zero so
-/// the pair broadcast at the last k never reads past the row.
-void widen_weights_u8(const std::uint8_t* w, std::size_t rows, std::size_t kdim,
-                      std::int16_t* w16);
 
 /// Conv epilogue over one contiguous output segment:
 ///   out[j] = float(i64(acc[j]) − i64(zw)·colsum[j] + qb) · scale
-/// The vector variants compute `corrected` in f64 — every operand is an
-/// integer of magnitude < 2^52, so each f64 step is exact and the final
-/// f64→f32 conversion is the same single rounding the scalar i64→f32 cast
-/// performs; the f32 multiply by `scale` matches element for element.
+/// After the packed pipeline, `zw` is the weight zero-point minus
+/// PackedKernels::w_offset. The vector variants compute `corrected` in
+/// f64 — every operand is an integer of magnitude < 2^52, so each f64
+/// step is exact and the final f64→f32 conversion is the same single
+/// rounding the scalar i64→f32 cast performs; the f32 multiply by
+/// `scale` matches element for element.
 /// Callers must keep the scalar loop when |qb| + 2^33 could reach 2^52
 /// (never true for real quantized biases, but guarded anyway) and for the
 /// stats/injection paths. Null for tiers without an implementation.

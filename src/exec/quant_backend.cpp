@@ -16,14 +16,17 @@ namespace {
 /// (identical for the tiled fast path and the seed-order injection path).
 /// With a vector epilogue kernel and no stats attached, the i32 fast path
 /// runs it over each contiguous NCHW segment — same bits, see EpilogueFn.
+/// Accumulators of weights offset by `w_offset` (the packed pipeline's
+/// Σ a·(w − w_offset)) correct with zw − w_offset: the same integers.
 template <typename AccT>
 void epilogue_rows(const quant::QConv& qc, std::size_t oc, const AccT* acc,
                    const std::int32_t* colsum, std::size_t j0, std::size_t jn,
                    std::size_t hw, std::size_t out_c, float* out, int shift,
-                   QuantExecStats* stats, kernels_simd::EpilogueFn epi = nullptr) {
+                   QuantExecStats* stats, kernels_simd::EpilogueFn epi = nullptr,
+                   std::int32_t w_offset = 0) {
     const quant::QuantParams& wq = qc.wq(static_cast<int>(oc));
     const float scale = qc.act.scale * wq.scale;
-    const std::int32_t zw = wq.zero_point;
+    const std::int32_t zw = wq.zero_point - w_offset;
     const std::int64_t qb = qc.qbias[oc];
     if constexpr (std::is_same_v<AccT, std::int32_t>) {
         // |acc − zw·colsum| < 2^33 on the acc32-safe path, so the f64
@@ -99,10 +102,11 @@ void conv_rows(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
     if (stats) stats->mac_count += kdim * cols * (oc_end - oc_begin);
 }
 
-/// SIMD fast path: the dispatch-selected microkernel computes the same
-/// exact i32 accumulators as conv_rows (integer adds reassociate freely),
-/// in kGemmU8RowBlock-channel register tiles; the shared epilogue then
-/// applies the identical zero-point/bias/stats transform row by row.
+/// Unpacked SIMD path (NEON, which has no packed pipeline): the
+/// dispatch-selected microkernel computes the same exact i32 accumulators
+/// as conv_rows (integer adds reassociate freely), in kGemmU8RowBlock-
+/// channel register tiles; the shared epilogue then applies the identical
+/// zero-point/bias/stats transform row by row.
 void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                     const std::uint8_t* columns, const std::int32_t* colsum,
                     std::size_t cols, float* out, int shift, QuantExecStats* stats,
@@ -128,22 +132,22 @@ void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
     if (stats) stats->mac_count += kdim * cols * (oc_end - oc_begin);
 }
 
-/// Packed SIMD pipeline (the preferred datapath on x86 tiers): widen and
-/// interleave each column tile once, then sweep it with the packed GEMM —
-/// the per-row-block re-prep that dominates conv_rows_simd on shallow
-/// convolutions disappears. Bit-identical by the same exact-integer
-/// argument; the (< col_group)-column tail of each tile runs the scalar
-/// reference against the raw tile.
+/// Packed SIMD pipeline (the datapath of every x86 tier): lay each column
+/// tile out once in the tier's panel layout, then sweep it with the packed
+/// GEMM against the weights prepped for this call. Bit-identical by the
+/// same exact-integer argument; the (< col_group)-column tail of each tile
+/// runs the scalar reference against the raw tile, with the same weight
+/// offset the GEMM applies, so one epilogue fold covers the whole row.
 void conv_rows_packed(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
-                      const std::uint8_t* columns, const std::int16_t* w16,
+                      const std::uint8_t* columns, const std::uint8_t* wprep,
                       const std::int32_t* colsum, std::size_t cols, float* out,
                       int shift, QuantExecStats* stats, std::vector<std::int32_t>& acc,
-                      std::vector<std::int16_t>& packed, std::size_t tile,
+                      std::vector<std::uint8_t>& panel, std::size_t tile,
                       const kernels_simd::PackedKernels& pk, kernels_simd::EpilogueFn epi,
                       std::size_t oc_begin, std::size_t oc_end) {
     constexpr std::size_t kMr = kernels_simd::kGemmU8RowBlock;
     const std::size_t kdim = g.kdim;
-    const std::size_t wstride = kdim + (kdim & 1);
+    const std::size_t w_row_bytes = pk.weight_row_bytes(kdim);
     const std::size_t out_c = static_cast<std::size_t>(op.conv.out_c);
     ExecContext::reserve(acc, kMr * tile);
 
@@ -151,26 +155,25 @@ void conv_rows_packed(const ir::Op& op, const quant::QConv& qc, const ConvGeom& 
         const std::size_t jn = std::min(tile, cols - j0);
         const std::size_t jv = jn - jn % pk.col_group;  // full column groups
         if (jv != 0) {
-            ExecContext::reserve(packed,
-                                 kernels_simd::packed_panel_elems(kdim, jv, pk.col_group));
-            pk.pack(columns + j0, cols, kdim, jv, packed.data());
+            ExecContext::reserve(panel, pk.panel_bytes(kdim, jv));
+            pk.pack(columns + j0, cols, kdim, jv, panel.data());
         }
         for (std::size_t oc = oc_begin; oc < oc_end; oc += kMr) {
             const std::size_t mr = std::min(kMr, oc_end - oc);
             if (jv != 0)
-                pk.gemm(w16 + oc * wstride, wstride, mr, packed.data(), kdim, jv,
-                        acc.data(), tile);
+                pk.gemm(wprep + oc * w_row_bytes, mr, panel.data(), kdim, jv, acc.data(),
+                        tile);
             for (std::size_t r = 0; r < mr; ++r) {
                 const std::uint8_t* wrow = qc.qweights.data() + (oc + r) * kdim;
                 for (std::size_t j = jv; j < jn; ++j) {
                     std::int32_t sum = 0;
                     for (std::size_t k = 0; k < kdim; ++k)
-                        sum += static_cast<std::int32_t>(wrow[k]) *
+                        sum += (static_cast<std::int32_t>(wrow[k]) - pk.w_offset) *
                                static_cast<std::int32_t>(columns[k * cols + j0 + j]);
                     acc[r * tile + j] = sum;
                 }
                 epilogue_rows(qc, oc + r, acc.data() + r * tile, colsum, j0, jn, g.hw,
-                              out_c, out, shift, stats, epi);
+                              out_c, out, shift, stats, epi, pk.w_offset);
             }
         }
     }
@@ -272,8 +275,8 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
 
     // Fast path: tiled integer GEMM through the dispatch-selected kernel
     // (SIMD needs the overflow-safe i32 bound the plan proved; wider
-    // convs keep the scalar int64 loop). The packed pipeline pre-widens
-    // the weight matrix once per call — read-only after this, so shared
+    // convs keep the scalar int64 loop). The packed pipeline preps the
+    // weight matrix once per call — read-only after this, so shared
     // across channel-split lanes. Parallel only without stats (the
     // struct is unsynchronized); each lane owns a disjoint channel range
     // and private accumulator/pack tiles, so results match serial bit
@@ -281,15 +284,15 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
     const std::size_t tile = std::min(g.tile_cols, cols);
     const bool use_packed = g.acc32_safe && packed_.gemm != nullptr;
     if (use_packed) {
-        ExecContext::reserve(scr.w16, out_c * (g.kdim + (g.kdim & 1)));
-        kernels_simd::widen_weights_u8(qc.qweights.data(), out_c, g.kdim, scr.w16.data());
+        ExecContext::reserve(scr.wprep, out_c * packed_.weight_row_bytes(g.kdim));
+        packed_.prep(qc.qweights.data(), out_c, g.kdim, scr.wprep.data());
     }
     const auto run_range = [&](std::vector<std::int32_t>& acc32,
                                std::vector<std::int64_t>& acc64,
-                               std::vector<std::int16_t>& packed, std::size_t b,
+                               std::vector<std::uint8_t>& packed, std::size_t b,
                                std::size_t e) {
         if (use_packed)
-            conv_rows_packed(op, qc, g, columns, scr.w16.data(), scr.colsum.data(), cols,
+            conv_rows_packed(op, qc, g, columns, scr.wprep.data(), scr.colsum.data(), cols,
                              call.out, shift, stats_, acc32, packed, tile, packed_,
                              epilogue_kernel_, b, e);
         else if (g.acc32_safe && simd_kernel_ != nullptr)

@@ -78,8 +78,8 @@ private:
     inject::BitFlipInjector* injector_ = nullptr;
     QuantExecStats* stats_ = nullptr;
     kernels_simd::KernelTier tier_ = kernels_simd::KernelTier::Scalar;
-    kernels_simd::GemmU8Fn simd_kernel_ = nullptr;          ///< null ⇔ scalar tier
-    kernels_simd::PackedKernels packed_{};                  ///< preferred GEMM pipeline
+    kernels_simd::GemmU8Fn simd_kernel_ = nullptr;          ///< unpacked SIMD GEMM (NEON)
+    kernels_simd::PackedKernels packed_{};                  ///< x86 GEMM pipeline
     kernels_simd::QuantizeU8Fn quantize_kernel_ = nullptr;  ///< null ⇒ scalar loop
     kernels_simd::EpilogueFn epilogue_kernel_ = nullptr;    ///< null ⇒ scalar epilogue
     kernels_simd::ColSumFn colsum_kernel_ = nullptr;        ///< null ⇒ scalar colsum

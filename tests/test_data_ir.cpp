@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <thread>
 
 #include "data/synthetic_dataset.hpp"
 #include "ir/float_executor.hpp"
@@ -68,6 +70,46 @@ TEST(Dataset, GatherMatchesContiguousBatch) {
     const auto batch = ds.train_batch(3, 4);
     const auto gathered = ds.gather_train({3, 4, 5, 6});
     EXPECT_EQ(batch.vec(), gathered.vec());
+}
+
+TEST(Dataset, LazyTrainPrefixMatchesAFullRender) {
+    // The training split renders on demand as a prefix of one RNG stream:
+    // a short batch first, then the whole split, must give the same bytes
+    // as a fresh dataset that renders the whole split at once.
+    const data::SyntheticDataset lazy(tiny_config()), fresh(tiny_config());
+    std::vector<int> all(static_cast<std::size_t>(lazy.train_size()));
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+    const auto head = lazy.train_batch(0, 64);
+    const auto lazy_all = lazy.gather_train(all);
+    const auto fresh_all = fresh.gather_train(all);
+    ASSERT_EQ(lazy_all.vec().size(), fresh_all.vec().size());
+    EXPECT_EQ(std::memcmp(lazy_all.data(), fresh_all.data(),
+                          lazy_all.vec().size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(head.data(), fresh_all.data(), head.vec().size() * sizeof(float)),
+              0);
+}
+
+TEST(Dataset, ConcurrentGrowingPrefixesRaceCleanly) {
+    // Four threads request ever longer prefixes of one dataset at once;
+    // every batch must equal the same prefix of a full render.
+    const data::SyntheticDataset reference(tiny_config());
+    const auto full = reference.train_batch(0, reference.train_size());
+    const data::SyntheticDataset shared(tiny_config());
+    constexpr int kThreads = 4;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int n = 5 + t; n <= shared.train_size(); n += 7 + 2 * t) {
+                const auto batch = shared.train_batch(0, n);
+                if (std::memcmp(batch.data(), full.data(), batch.vec().size() * sizeof(float)))
+                    ++mismatches[static_cast<std::size_t>(t)];
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
 }
 
 TEST(IrGraph, RejectsMalformedGraphs) {

@@ -385,48 +385,112 @@ TEST(ExecSimd, EveryDispatchTierMatchesScalarBitForBit) {
 
 TEST(ExecSimd, KernelFamiliesMatchScalarOnOddShapes) {
     // Direct microkernel-level check, below the conv plumbing: unpacked
-    // and packed GEMMs of every tier against the scalar kernel on shapes
-    // with remainders in rows (row-block), kdim (k-pair pad) and n
-    // (column-group tail).
+    // and packed GEMMs of every tier against the scalar kernel, with the
+    // packed weights prepared by each tier's own prep. The shapes leave
+    // row tails of 3/2/1 (compile-time row tiles), every kdim residue mod 4
+    // (k-pair and k-quad padding) and n % 16 != 0 (column-group tails).
+    // Codes 0, 127, 128 and 255 are forced into both operands — the edges
+    // of the s8 fold w ^ 0x80 — along with an all-255 and an all-0 weight
+    // row and an all-255 activation column (the extreme accumulators).
     const struct {
         std::size_t rows, kdim, n;
-    } shapes[] = {{5, 7, 33}, {7, 27, 100}, {13, 61, 257}, {4, 64, 96}};
+    } shapes[] = {{5, 7, 33},  {7, 27, 100}, {13, 61, 257}, {4, 64, 96},
+                  {6, 30, 47}, {2, 2, 31},   {3, 1, 16},    {9, 45, 40}};
+    constexpr std::uint8_t kEdges[] = {0, 127, 128, 255};
     std::mt19937 rng(271);
     std::uniform_int_distribution<int> byte(0, 255);
+    const auto fill = [&](std::vector<std::uint8_t>& v) {
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = i % 3 == 0 ? kEdges[(i / 3) % 4] : static_cast<std::uint8_t>(byte(rng));
+    };
     const auto scalar = exec::kernels_simd::gemm_u8_kernel(
         exec::kernels_simd::KernelTier::Scalar);
+    ASSERT_NE(scalar, nullptr);
     for (const auto& s : shapes) {
         std::vector<std::uint8_t> w(s.rows * s.kdim), cols(s.kdim * s.n);
-        for (auto& v : w) v = static_cast<std::uint8_t>(byte(rng));
-        for (auto& v : cols) v = static_cast<std::uint8_t>(byte(rng));
-        std::vector<std::int32_t> ref(s.rows * s.n), acc(s.rows * s.n);
+        fill(w);
+        fill(cols);
+        std::fill(w.begin(), w.begin() + static_cast<std::ptrdiff_t>(s.kdim), 255);
+        if (s.rows > 1)
+            std::fill(w.begin() + static_cast<std::ptrdiff_t>(s.kdim),
+                      w.begin() + static_cast<std::ptrdiff_t>(2 * s.kdim), 0);
+        for (std::size_t k = 0; k < s.kdim; ++k) cols[k * s.n] = 255;
+        std::vector<std::int32_t> ref(s.rows * s.n), acc(s.rows * s.n), colsum(s.n, 0);
         scalar(w.data(), s.kdim, s.rows, cols.data(), s.n, s.kdim, s.n, ref.data(), s.n);
+        for (std::size_t k = 0; k < s.kdim; ++k)
+            for (std::size_t j = 0; j < s.n; ++j) colsum[j] += cols[k * s.n + j];
         for (const auto tier : exec::kernels_simd::available_tiers()) {
             if (tier == exec::kernels_simd::KernelTier::Scalar) continue;
-            const auto kernel = exec::kernels_simd::gemm_u8_kernel(tier);
-            std::fill(acc.begin(), acc.end(), -1);
-            kernel(w.data(), s.kdim, s.rows, cols.data(), s.n, s.kdim, s.n, acc.data(),
-                   s.n);
-            EXPECT_EQ(acc, ref) << "unpacked " << exec::kernels_simd::tier_name(tier);
+            const char* name = exec::kernels_simd::tier_name(tier);
+            if (const auto kernel = exec::kernels_simd::gemm_u8_kernel(tier)) {
+                std::fill(acc.begin(), acc.end(), -1);
+                kernel(w.data(), s.kdim, s.rows, cols.data(), s.n, s.kdim, s.n, acc.data(),
+                       s.n);
+                EXPECT_EQ(acc, ref) << "unpacked " << name;
+            }
 
             const auto pk = exec::kernels_simd::packed_kernels(tier);
             if (pk.gemm == nullptr) continue;
             const std::size_t jv = s.n - s.n % pk.col_group;  // full column groups
             if (jv == 0) continue;
-            const std::size_t wstride = s.kdim + (s.kdim & 1);
-            std::vector<std::int16_t> w16(s.rows * wstride);
-            exec::kernels_simd::widen_weights_u8(w.data(), s.rows, s.kdim, w16.data());
-            std::vector<std::int16_t> packed(
-                exec::kernels_simd::packed_panel_elems(s.kdim, jv, pk.col_group));
-            pk.pack(cols.data(), s.n, s.kdim, jv, packed.data());
+            std::vector<std::uint8_t> prepped(s.rows * pk.weight_row_bytes(s.kdim));
+            pk.prep(w.data(), s.rows, s.kdim, prepped.data());
+            std::vector<std::uint8_t> panel(pk.panel_bytes(s.kdim, jv));
+            pk.pack(cols.data(), s.n, s.kdim, jv, panel.data());
             std::fill(acc.begin(), acc.end(), -1);
-            pk.gemm(w16.data(), wstride, s.rows, packed.data(), s.kdim, jv, acc.data(),
-                    s.n);
+            pk.gemm(prepped.data(), s.rows, panel.data(), s.kdim, jv, acc.data(), s.n);
+            // The packed GEMM sums (w − w_offset)·a; the epilogue adds the
+            // offset back through colsum.
             for (std::size_t r = 0; r < s.rows; ++r)
                 for (std::size_t j = 0; j < jv; ++j)
-                    ASSERT_EQ(acc[r * s.n + j], ref[r * s.n + j])
-                        << "packed " << exec::kernels_simd::tier_name(tier) << " r=" << r
-                        << " j=" << j;
+                    ASSERT_EQ(std::int64_t{acc[r * s.n + j]} +
+                                  std::int64_t{pk.w_offset} * colsum[j],
+                              ref[r * s.n + j])
+                        << "packed " << name << " rows=" << s.rows << " kdim=" << s.kdim
+                        << " r=" << r << " j=" << j;
+        }
+    }
+}
+
+TEST(ExecSimd, ExtremeZeroPointsMatchScalarAtConvLevel) {
+    // The weight-offset fold through the whole conv path (prep, pack,
+    // GEMM, scalar column tail, epilogue), on one-conv graphs so every
+    // accumulator reaches the output. Per-channel weight zero-points
+    // alternate 0 and 255, weight codes include 0/127/128/255, and most
+    // activation codes sit at qmax or 0. kdim takes every residue mod 4,
+    // out_c leaves 2/3/1-row tails, and 3·81 = 243 columns leave a
+    // column-group tail.
+    const struct {
+        int in_c, out_c, k, pad;
+    } convs[] = {{2, 6, 1, 0}, {3, 7, 3, 1}, {5, 5, 1, 0}, {4, 8, 3, 1}};
+    constexpr std::uint8_t kEdges[] = {0, 127, 128, 255};
+    std::mt19937 rng(29);
+    for (const auto& c : convs) {
+        ir::Graph graph;
+        const int in = graph.add_input({1, c.in_c, 9, 9});
+        graph.set_output(graph.add(conv_op(in, c.in_c, c.out_c, c.k, 1, c.pad, rng)));
+        tensor::Tensor batch({3, c.in_c, 9, 9});
+        std::uniform_real_distribution<float> dist(-0.5f, 3.0f);
+        for (auto& v : batch.vec()) v = dist(rng);
+        auto qgraph = quant::quantize_graph(graph, quant::Method::M2_MinMaxAsymmetric,
+                                            quant::QuantConfig{},
+                                            quant::calibrate(graph, batch, {0, 0, 0}));
+        quant::QConv& qc = qgraph.conv(0);  // the graph's only op
+        std::vector<quant::QuantParams> wq(static_cast<std::size_t>(c.out_c), qc.wq(0));
+        for (std::size_t oc = 0; oc < wq.size(); ++oc) wq[oc].zero_point = oc % 2 == 0 ? 0 : 255;
+        qc.weight_q = wq;
+        for (std::size_t i = 0; i < qc.qweights.size(); i += 3)
+            qc.qweights[i] = kEdges[(i / 3) % 4];
+        qc.act.scale = 2.0f / 255.0f;  // inputs above 2 quantize to qmax
+        quant::QuantRunner scalar_runner(qgraph, 3);
+        scalar_runner.set_kernel_tier(exec::kernels_simd::KernelTier::Scalar);
+        const tensor::Tensor reference = scalar_runner.run(batch);
+        for (const auto tier : exec::kernels_simd::available_tiers()) {
+            if (tier == exec::kernels_simd::KernelTier::Scalar) continue;
+            quant::QuantRunner runner(qgraph, 3);
+            runner.set_kernel_tier(tier);
+            expect_bitwise_equal(runner.run(batch), reference,
+                                 exec::kernels_simd::tier_name(tier));
         }
     }
 }
