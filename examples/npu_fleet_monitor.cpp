@@ -131,8 +131,8 @@ int main(int argc, char** argv) try {
                 server.export_traces().c_str());
 
     // ---- 3. the metrics scrape, as a dashboard would pull it. Histogram
-    // bucket series are elided here for brevity (the full exposition and
-    // a JSONL dump are one export_metrics()/export_metrics_jsonl() away).
+    // bucket series are elided here for brevity (the full exposition is
+    // one export_metrics() away).
     {
         std::istringstream expo(server.export_metrics());
         std::string line;

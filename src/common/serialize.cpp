@@ -15,10 +15,6 @@ void BinaryWriter::write_u64(std::uint64_t v) {
     out_.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-void BinaryWriter::write_f32(float v) {
-    out_.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
 void BinaryWriter::write_string(const std::string& s) {
     write_u64(s.size());
     out_.write(s.data(), static_cast<std::streamsize>(s.size()));
@@ -45,13 +41,6 @@ std::uint64_t BinaryReader::read_u64() {
     std::uint64_t v = 0;
     in_.read(reinterpret_cast<char*>(&v), sizeof v);
     if (!in_) throw std::runtime_error("BinaryReader: truncated stream (u64)");
-    return v;
-}
-
-float BinaryReader::read_f32() {
-    float v = 0;
-    in_.read(reinterpret_cast<char*>(&v), sizeof v);
-    if (!in_) throw std::runtime_error("BinaryReader: truncated stream (f32)");
     return v;
 }
 

@@ -19,7 +19,6 @@ public:
 
     void write_u32(std::uint32_t v);
     void write_u64(std::uint64_t v);
-    void write_f32(float v);
     void write_string(const std::string& s);
     void write_f32_vector(const std::vector<float>& v);
 
@@ -35,7 +34,6 @@ public:
 
     std::uint32_t read_u32();
     std::uint64_t read_u64();
-    float read_f32();
     std::string read_string();
     std::vector<float> read_f32_vector();
 

@@ -47,6 +47,7 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
     ctx.buffers.assign(static_cast<std::size_t>(graph.num_tensors()), nullptr);
     std::vector<const float*>& buffers = ctx.buffers;
     buffers[static_cast<std::size_t>(graph.input_id())] = batch.data;
+    if (options.visit) options.visit(graph.input_id(), batch);
 
     // Per-level profiling accumulates locally and fires the hook once per
     // level after the run (serial: summed per-op; fanned: the level's
@@ -118,9 +119,10 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
     // lane-private workspace — the pool is not reentrant); single-op
     // levels keep the conv-internal channel split instead. The arena's
     // level floors guarantee no two same-level tensors share bytes.
-    // Backends with ordered hooks (serial_only) take the schedule path.
+    // Backends with ordered hooks (serial_only) and runs with a visit
+    // take the schedule path.
     const bool fan_levels = options.pool != nullptr && plan.has_parallel_levels() &&
-                            !backend.serial_only();
+                            !backend.serial_only() && !options.visit;
     if (fan_levels) {
         const std::vector<int>& order = plan.level_order();
         const std::vector<std::size_t>& bounds = plan.level_bounds();
@@ -163,6 +165,11 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                     std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - op_start)
                         .count();
+            if (options.visit) {
+                const int id = graph.ops()[static_cast<std::size_t>(step.op_index)].output;
+                options.visit(id, tensor::TensorView(buffers[static_cast<std::size_t>(id)],
+                                                     shapes[static_cast<std::size_t>(id)]));
+            }
         }
     }
     if (timed)

@@ -28,9 +28,17 @@ namespace raq::exec {
 /// them), so the profile maps directly onto the schedule structure.
 using LevelTimingHook = std::function<void(int level, double host_us)>;
 
+/// Optional per-tensor visit, called on the calling thread: first with
+/// the input, then with each op's output in schedule order, right after
+/// that op runs and before any later op can reuse its arena region. The
+/// view is valid only for the duration of the call. A run with a visit
+/// takes the schedule path even when a pool is set.
+using TensorVisit = std::function<void(int tensor_id, tensor::TensorView tensor)>;
+
 struct RunOptions {
     ThreadPool* pool = nullptr;  ///< optional intra-plan parallelism (off by default)
     const LevelTimingHook* level_hook = nullptr;  ///< optional per-level profiling
+    TensorVisit visit;  ///< optional per-tensor visit (see TensorVisit)
 };
 
 /// Execute `plan` with `backend` on `batch` (1 ≤ n ≤ plan capacity).

@@ -66,7 +66,7 @@ void global_avg_pool(const float* in, const tensor::Shape& s, float* out) {
                       static_cast<std::size_t>(c)) *
                          hw;
             float acc = 0;
-            // Same y-major accumulation order as the reference walker.
+            // Same y-major accumulation order as the FP32 oracle.
             for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
             out[static_cast<std::size_t>(n) * static_cast<std::size_t>(s.c) +
                 static_cast<std::size_t>(c)] = acc * inv;

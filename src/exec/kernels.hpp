@@ -1,7 +1,8 @@
 // Raw-pointer op kernels shared by every backend. Each kernel writes into
 // a caller-provided (arena) buffer and mirrors the seed interpreter's loop
 // structure exactly, element for element — planned execution is bit-
-// identical to the reference walker by construction, not by accident.
+// identical to the test oracles (tests/seed_interpreter_ref.hpp) by
+// construction, not by accident.
 #pragma once
 
 #include <cstddef>

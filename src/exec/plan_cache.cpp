@@ -69,11 +69,6 @@ PlanCacheStats PlanCache::stats() const {
     return s;
 }
 
-void PlanCache::clear() {
-    const common::MutexLock lock(mutex_);
-    entries_.clear();
-}
-
 PlanCache& PlanCache::global() {
     static PlanCache cache;
     return cache;

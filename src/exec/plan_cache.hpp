@@ -55,7 +55,6 @@ public:
         std::shared_ptr<const ir::Graph> graph, int capacity) RAQ_EXCLUDES(mutex_);
 
     [[nodiscard]] PlanCacheStats stats() const RAQ_EXCLUDES(mutex_);
-    void clear() RAQ_EXCLUDES(mutex_);
 
     /// The process-wide cache the quantized runners use.
     static PlanCache& global();

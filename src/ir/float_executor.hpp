@@ -1,44 +1,15 @@
-// FP32 execution of the deployment IR. Serves three roles: baseline
-// accuracy (the paper reports accuracy loss w.r.t. FP32 inference),
-// calibration-statistics collection, and the reference for the planned
-// execution engine (src/exec/), which run_float and float_accuracy are
-// thin wrappers over.
-//
-// run_float_all / for_each_float_tensor keep the seed's tree-walking
-// interpreter: it materialises real Tensors per op, bypasses the exec
-// arena planner, and is retained as the independent bit-identity
-// reference and for whole-graph diagnostics.
+// FP32 accuracy of the deployment IR: the baseline the paper reports
+// accuracy loss against. Execution itself is the planned engine
+// (exec::FloatRunner); the independent FP32 oracle the tests compare it
+// against lives in tests/seed_interpreter_ref.hpp.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "ir/graph.hpp"
 #include "tensor/tensor.hpp"
 
 namespace raq::ir {
-
-/// Run the graph on a batch and return the output tensor (logits).
-/// Thin wrapper over the planned engine (see exec::FloatRunner for the
-/// reusable-state form used in loops).
-[[nodiscard]] tensor::Tensor run_float(const Graph& graph, tensor::TensorView batch);
-
-/// Apply a single non-convolution op in float (reference walker path).
-[[nodiscard]] tensor::Tensor apply_nonconv_op(const Op& op,
-                                              const std::vector<const tensor::Tensor*>& ins);
-
-/// Reference walker: run and return every intermediate tensor, indexed by
-/// tensor id. Keeps the whole live set — use for_each_float_tensor when
-/// tensors are only inspected once.
-[[nodiscard]] std::vector<tensor::Tensor> run_float_all(const Graph& graph,
-                                                        tensor::TensorView batch);
-
-/// Reference walker with eager tensor lifetime: visits the input and
-/// every op output in topological order, dropping each intermediate right
-/// after its last consumer ran. Peak memory is the live-set maximum even
-/// though this path bypasses the exec arena planner.
-void for_each_float_tensor(const Graph& graph, tensor::TensorView batch,
-                           const std::function<void(int, const tensor::Tensor&)>& visit);
 
 /// Argmax class per sample from (N, classes, 1, 1) logits.
 [[nodiscard]] std::vector<int> argmax_classes(const tensor::Tensor& logits);

@@ -137,16 +137,6 @@ std::vector<std::uint64_t> Netlist::eval_words(
     return values;
 }
 
-std::vector<bool> Netlist::eval(const std::vector<bool>& pi_bits) const {
-    std::vector<std::uint64_t> words(primary_inputs_.size(), 0);
-    for (std::size_t i = 0; i < pi_bits.size() && i < words.size(); ++i)
-        words[i] = pi_bits[i] ? ~0ULL : 0ULL;
-    const auto values = eval_words(words);
-    std::vector<bool> out(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) out[i] = (values[i] & 1ULL) != 0;
-    return out;
-}
-
 std::uint64_t Netlist::bus_value(const std::vector<std::uint64_t>& net_words,
                                  const std::string& bus, int lane) const {
     const auto it_out = output_buses_.find(bus);

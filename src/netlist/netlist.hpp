@@ -90,10 +90,6 @@ public:
     [[nodiscard]] std::vector<std::uint64_t> eval_words(
         common::Span<const std::uint64_t> pi_words) const;
 
-    /// Convenience single-vector evaluation: bit i of `pi_bits` is the value
-    /// of primary input i. Returns per-net boolean values.
-    [[nodiscard]] std::vector<bool> eval(const std::vector<bool>& pi_bits) const;
-
     /// Read a bus value out of an eval_words() result for vector lane `lane`.
     [[nodiscard]] std::uint64_t bus_value(const std::vector<std::uint64_t>& net_words,
                                           const std::string& bus, int lane) const;

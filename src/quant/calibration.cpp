@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ir/float_executor.hpp"
+#include "exec/engine.hpp"
 
 namespace raq::quant {
 
@@ -36,13 +36,18 @@ CalibrationData calibrate(const ir::Graph& graph, tensor::TensorView images,
     out.images = tensor::Tensor(images.shape,
                                 std::vector<float>(images.data, images.data + images.size()));
     out.labels = std::move(labels);
-    // Stream the statistics off the eager-freeing walker: each tensor is
-    // visited once while live and dropped after its last consumer, so the
-    // peak is the live set, not every intermediate of the batch at once.
+    // Stream the statistics off the planned engine: each tensor is visited
+    // once, before its arena region is reused, so the peak is the plan's
+    // arena, not every intermediate of the batch at once.
     out.per_tensor.resize(static_cast<std::size_t>(graph.num_tensors()));
-    ir::for_each_float_tensor(graph, images, [&](int id, const tensor::Tensor& t) {
-        out.per_tensor[static_cast<std::size_t>(id)] = compute_stats(t.data(), t.size());
-    });
+    const exec::ExecPlan plan(graph, exec::PlanOptions{images.shape.n, true});
+    exec::FloatBackend backend;
+    exec::ExecContext ctx;
+    exec::RunOptions options;
+    options.visit = [&](int id, tensor::TensorView t) {
+        out.per_tensor[static_cast<std::size_t>(id)] = compute_stats(t.data, t.size());
+    };
+    (void)exec::run(plan, backend, ctx, images, options);
     return out;
 }
 

@@ -1,7 +1,9 @@
 // Calibration: per-tensor statistics gathered from an FP32 run over a
 // calibration batch. ACIQ consumes the Laplace dispersion (mean absolute
 // deviation), min/max methods consume the range, LAPQ additionally uses
-// the labeled calibration batch to evaluate task loss.
+// the labeled calibration batch to evaluate task loss. The FP32 run is the
+// planned engine (src/exec/) with a per-tensor visit, so every PTQ method
+// reads statistics of the same float values the engine computes.
 #pragma once
 
 #include <vector>
@@ -26,8 +28,8 @@ struct CalibrationData {
 };
 
 /// Run FP32 inference on `images` and collect statistics for every tensor
-/// (streamed off the eager-freeing reference walker; the calibration
-/// batch itself is copied into the result for loss-aware methods).
+/// (streamed off the planned engine's tensor visit; the calibration batch
+/// itself is copied into the result for loss-aware methods).
 [[nodiscard]] CalibrationData calibrate(const ir::Graph& graph, tensor::TensorView images,
                                         std::vector<int> labels);
 

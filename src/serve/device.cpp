@@ -245,15 +245,15 @@ bool NpuDevice::adopt_pending() {
     return swapped;
 }
 
-void NpuDevice::reshard(core::ModelState state, double build_ms) {
+void NpuDevice::discard_requant() {
     // An in-flight background build targets the OLD sub-graph through
     // job_; let it publish (the RequantService never drops an accepted
     // job) and discard the result — adopting a state built for a shard
     // this device no longer serves would deploy the wrong topology.
-    // After the wait the service worker is done touching job_, so the
-    // rebuild below cannot race with it; no new build can start because
-    // the pipeline is quiesced (no serve thread reaches
-    // requant_boundary()).
+    // After the wait the service worker is done touching job_ and the
+    // context, so the remap and rebuild cannot race with it; no new build
+    // can start because the pipeline is quiesced (no serve thread
+    // reaches requant_boundary()).
     if (requant_in_flight_.load(std::memory_order_acquire)) {
         for (;;) {
             {
@@ -268,7 +268,9 @@ void NpuDevice::reshard(core::ModelState state, double build_ms) {
         pending_.reset();
     }
     requant_in_flight_.store(false, std::memory_order_release);
+}
 
+void NpuDevice::reshard(core::ModelState state, double build_ms) {
     // The context now points at the new sub-graph and sliced
     // calibration; rebuild everything derived from them.
     job_.emplace(validate_context(*ctx_), *ctx_->calib, *ctx_->selector,

@@ -155,14 +155,19 @@ public:
     /// crossing (inline without a RequantService, enqueued otherwise).
     void requant_boundary();
 
+    /// Online re-cut support: wait out and discard any in-flight
+    /// background build. It reads this device's sub-graph and
+    /// calibration, so the re-cut calls this on a drained device before
+    /// it remaps them; a drained device starts no new build.
+    void discard_requant() RAQ_EXCLUDES(pending_mutex_);
+
     /// Online re-cut support: remap this device onto the (changed)
     /// sub-graph/calibration its ServeContext now points at and adopt
     /// `state`, a deployment the re-cut path PRE-BUILT for the new shard
     /// off the serving path (its feasibility was proven before the
     /// pipeline was drained, so this call does not fail on an infeasible
-    /// build). Waits out and discards any in-flight background build (it
-    /// targeted the old sub-graph), rebuilds the RequantJob and the
-    /// per-image cycle count, re-stamps `state` as generation + 1 — the
+    /// build). Requires discard_requant() first. Rebuilds the RequantJob
+    /// and the per-image cycle count, re-stamps `state` as generation + 1 — the
     /// version stream stays monotonic across re-cuts even if a
     /// background generation was adopted while the pipeline drained —
     /// and installs it with a new execution plan (`build_ms` is the

@@ -40,10 +40,6 @@ void RequantService::worker_loop() {
         // immutable ServeContext and writes only the device's pending
         // slot, so the device keeps serving its current generation.
         job.device->execute_requant(job.dvth_mv, job.generation);
-        {
-            const common::MutexLock lock(mutex_);
-            ++jobs_completed_;
-        }
     }
 }
 
@@ -56,11 +52,6 @@ void RequantService::shutdown() {
     cv_.notify_all();
     for (std::thread& worker : workers_) worker.join();
     workers_.clear();
-}
-
-std::uint64_t RequantService::jobs_completed() const {
-    const common::MutexLock lock(mutex_);
-    return jobs_completed_;
 }
 
 }  // namespace raq::serve

@@ -52,8 +52,6 @@ public:
     /// Drain every accepted job, then join the workers. Idempotent.
     void shutdown() RAQ_EXCLUDES(mutex_);
 
-    [[nodiscard]] std::uint64_t jobs_completed() const RAQ_EXCLUDES(mutex_);
-
 private:
     void worker_loop() RAQ_EXCLUDES(mutex_);
 
@@ -63,11 +61,10 @@ private:
         std::uint64_t generation = 0;
     };
 
-    mutable common::Mutex mutex_;
+    common::Mutex mutex_;
     common::CondVar cv_;
     std::deque<Job> jobs_ RAQ_GUARDED_BY(mutex_);
     bool stopped_ RAQ_GUARDED_BY(mutex_) = false;
-    std::uint64_t jobs_completed_ RAQ_GUARDED_BY(mutex_) = 0;
     /// Constructor/shutdown-thread only (join-synchronized, unguarded).
     std::vector<std::thread> workers_;
 };

@@ -255,11 +255,6 @@ std::string NpuServer::export_metrics() const {
     return telemetry_ ? telemetry_->metrics().expose() : std::string();
 }
 
-std::string NpuServer::export_metrics_jsonl() const {
-    sync_exec_metrics();
-    return telemetry_ ? telemetry_->metrics().jsonl() : std::string();
-}
-
 std::string NpuServer::export_traces() const {
     return telemetry_ ? telemetry_->traces().render() : std::string();
 }

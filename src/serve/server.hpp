@@ -167,8 +167,6 @@ public:
     /// Prometheus-style text exposition of every registered series
     /// (empty string with telemetry disabled).
     [[nodiscard]] std::string export_metrics() const;
-    /// One JSON object per metric series, one per line.
-    [[nodiscard]] std::string export_metrics_jsonl() const;
     /// Text rendering of the sampled-trace reservoir, one trace per line.
     [[nodiscard]] std::string export_traces() const;
     /// Text rendering of the reliability-event timeline, oldest first.

@@ -454,7 +454,9 @@ void ShardGroup::perform_recut(PreparedRecut prepared) {
     // Remap every device onto its new slice of the model. The ShardState
     // owns what the device's context points at, so updating it in place
     // re-targets the device; reshard() rebuilds what derives from it and
-    // adopts the pre-built deployment.
+    // adopts the pre-built deployment. A background build still queued or
+    // running reads that context, so each one is waited out first.
+    for (const auto& shard : shards_) shard->device->discard_requant();
     for (std::size_t k = 0; k < shards_.size(); ++k) {
         ShardState& shard = *shards_[k];
         shard.spec = prepared.specs[k];

@@ -122,12 +122,4 @@ double duty_aging_factor(double busy_fraction, double self_heat_c,
     return std::exp(temperature_activation * self_heat_c * (f - 1.0));
 }
 
-double self_heat_c_from_activity(const ActivityStats& stats, double period_ps,
-                                 double theta_c_per_w, std::int64_t num_macs) {
-    if (period_ps <= 0.0 || theta_c_per_w <= 0.0 || num_macs <= 0) return 0.0;
-    // fJ per cycle / ps per cycle = (1e-15 J) / (1e-12 s) = 1e-3 W.
-    const double watts_per_mac = stats.avg_dynamic_energy_fj / period_ps * 1e-3;
-    return watts_per_mac * static_cast<double>(num_macs) * theta_c_per_w;
-}
-
 }  // namespace raq::sim

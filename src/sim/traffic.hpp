@@ -27,8 +27,6 @@
 #include <deque>
 #include <vector>
 
-#include "sim/activity.hpp"
-
 namespace raq::sim {
 
 /// Per-device traffic-driven aging knobs (DeviceConfig::traffic_aging).
@@ -39,9 +37,8 @@ struct TrafficAgingConfig {
     /// average over batch granularity.
     std::int64_t window_us = 250'000;
     /// Busy-vs-idle die temperature delta in °C (self-heating under full
-    /// MAC switching activity). Derive from measured activity energy via
-    /// self_heat_c_from_activity(), or take the default — 15 °C is a
-    /// typical inference-accelerator package delta.
+    /// MAC switching activity). 15 °C is a typical inference-accelerator
+    /// package delta.
     double self_heat_c = 15.0;
 };
 
@@ -143,14 +140,5 @@ private:
 /// applies to its configured operating temperature.
 [[nodiscard]] double duty_aging_factor(double busy_fraction, double self_heat_c,
                                        double temperature_activation);
-
-/// Derive the busy-vs-idle die temperature delta from measured MAC
-/// switching activity: per-cycle dynamic energy → array power at the
-/// operating clock → ΔT through the package thermal resistance
-/// (`theta_c_per_w`, °C per watt). Leakage burns at idle too, so only
-/// the dynamic share contributes to the busy-idle delta.
-[[nodiscard]] double self_heat_c_from_activity(const ActivityStats& stats,
-                                               double period_ps, double theta_c_per_w,
-                                               std::int64_t num_macs);
 
 }  // namespace raq::sim

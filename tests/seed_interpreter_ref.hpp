@@ -1,10 +1,13 @@
-// The seed quantized interpreter (pre-refactor quant/quant_executor.cpp),
-// kept verbatim as the single bit-identity reference for the planned
-// execution engine: full tree walk, per-call workspace allocation,
-// per-channel int64 accumulation over the whole column matrix, ordered
-// per-product injector hook. Shared by tests/test_exec.cpp and
-// bench/exec_throughput.cpp so the reference cannot silently diverge
-// between the two.
+// The seed interpreters, kept as the independent bit-identity references
+// for the planned execution engine (src/exec/), the one executor in src/.
+// Apart from the float GEMM (tensor::gemm, whose p-ascending order both
+// rely on) they share no code with the engine: a full tree walk that
+// materialises one Tensor per op, the seed's own float conv (im2col +
+// GEMM + bias) and non-conv ops (the FP32 oracle, run_float_all), and the
+// seed quantized conv (per-call workspace allocation, per-channel int64
+// accumulation over the whole column matrix, ordered per-product injector
+// hook). Shared by the tests and bench/exec_throughput.cpp so the
+// references cannot silently diverge between the two.
 //
 // (Sole deliberate deviation from the seed: the accumulator-occupancy
 // stat shifts the magnitude instead of the signed value — identical
@@ -13,15 +16,160 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "inject/bitflip.hpp"
-#include "ir/float_executor.hpp"
+#include "ir/graph.hpp"
 #include "quant/quant_executor.hpp"
 #include "quant/quantized_graph.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace raq::seedref {
+
+inline tensor::Tensor conv_float(const ir::Op& op, const tensor::Tensor& in) {
+    int oh = 0, ow = 0;
+    std::vector<float> columns;
+    tensor::im2col(in, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad, columns, oh, ow);
+    const std::size_t k = static_cast<std::size_t>(op.conv.in_c) *
+                          static_cast<std::size_t>(op.conv.kh) *
+                          static_cast<std::size_t>(op.conv.kw);
+    const std::size_t cols = static_cast<std::size_t>(in.shape().n) *
+                             static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
+    std::vector<float> product(static_cast<std::size_t>(op.conv.out_c) * cols);
+    tensor::gemm(op.weights.data(), columns.data(), product.data(),
+                 static_cast<std::size_t>(op.conv.out_c), k, cols);
+    tensor::Tensor out({in.shape().n, op.conv.out_c, oh, ow});
+    // product is [oc, n*oh*ow]; output layout is [n, oc, oh, ow].
+    const std::size_t hw = static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
+    for (int n = 0; n < in.shape().n; ++n)
+        for (int oc = 0; oc < op.conv.out_c; ++oc) {
+            const float b = op.bias[static_cast<std::size_t>(oc)];
+            const float* src = product.data() + static_cast<std::size_t>(oc) * cols +
+                               static_cast<std::size_t>(n) * hw;
+            float* dst = out.data() +
+                         (static_cast<std::size_t>(n) * static_cast<std::size_t>(op.conv.out_c) +
+                          static_cast<std::size_t>(oc)) *
+                             hw;
+            for (std::size_t i = 0; i < hw; ++i) dst[i] = src[i] + b;
+        }
+    return out;
+}
+
+inline tensor::Tensor maxpool(const ir::Op& op, const tensor::Tensor& in) {
+    const auto& s = in.shape();
+    const int oh = tensor::conv_out_dim(s.h, op.pool.kernel, op.pool.stride, 0);
+    const int ow = tensor::conv_out_dim(s.w, op.pool.kernel, op.pool.stride, 0);
+    tensor::Tensor out({s.n, s.c, oh, ow});
+    for (int n = 0; n < s.n; ++n)
+        for (int c = 0; c < s.c; ++c)
+            for (int oy = 0; oy < oh; ++oy)
+                for (int ox = 0; ox < ow; ++ox) {
+                    float best = -std::numeric_limits<float>::infinity();
+                    for (int ky = 0; ky < op.pool.kernel; ++ky)
+                        for (int kx = 0; kx < op.pool.kernel; ++kx) {
+                            const int iy = oy * op.pool.stride + ky;
+                            const int ix = ox * op.pool.stride + kx;
+                            if (iy < s.h && ix < s.w) best = std::max(best, in.at(n, c, iy, ix));
+                        }
+                    out.at(n, c, oy, ox) = best;
+                }
+    return out;
+}
+
+/// One non-convolution op in float; both interpreters share it.
+inline tensor::Tensor apply_nonconv_op(const ir::Op& op,
+                                       const std::vector<const tensor::Tensor*>& ins) {
+    const tensor::Tensor& in0 = *ins.at(0);
+    switch (op.kind) {
+        case ir::OpKind::Conv2d:
+            throw std::invalid_argument("apply_nonconv_op: conv not handled here");
+        case ir::OpKind::Relu: {
+            tensor::Tensor out = in0;
+            for (auto& v : out.vec()) v = v > 0 ? v : 0.0f;
+            return out;
+        }
+        case ir::OpKind::MaxPool2d:
+            return maxpool(op, in0);
+        case ir::OpKind::GlobalAvgPool: {
+            const auto& s = in0.shape();
+            tensor::Tensor out({s.n, s.c, 1, 1});
+            const float inv = 1.0f / static_cast<float>(s.h * s.w);
+            for (int n = 0; n < s.n; ++n)
+                for (int c = 0; c < s.c; ++c) {
+                    float acc = 0;
+                    for (int y = 0; y < s.h; ++y)
+                        for (int x = 0; x < s.w; ++x) acc += in0.at(n, c, y, x);
+                    out.at(n, c, 0, 0) = acc * inv;
+                }
+            return out;
+        }
+        case ir::OpKind::Add: {
+            const tensor::Tensor& in1 = *ins.at(1);
+            tensor::Tensor out = in0;
+            for (std::size_t i = 0; i < out.size(); ++i) out[i] += in1[i];
+            return out;
+        }
+        case ir::OpKind::Concat: {
+            const auto& s0 = in0.shape();
+            int channels = 0;
+            for (const tensor::Tensor* t : ins) channels += t->shape().c;
+            tensor::Tensor out({s0.n, channels, s0.h, s0.w});
+            const std::size_t hw =
+                static_cast<std::size_t>(s0.h) * static_cast<std::size_t>(s0.w);
+            for (int n = 0; n < s0.n; ++n) {
+                std::size_t c_off = 0;
+                for (const tensor::Tensor* t : ins) {
+                    const std::size_t block = static_cast<std::size_t>(t->shape().c) * hw;
+                    std::copy(t->data() + static_cast<std::size_t>(n) * block,
+                              t->data() + static_cast<std::size_t>(n + 1) * block,
+                              out.data() +
+                                  (static_cast<std::size_t>(n) *
+                                   static_cast<std::size_t>(channels)) *
+                                      hw +
+                                  c_off * hw);
+                    c_off += static_cast<std::size_t>(t->shape().c);
+                }
+            }
+            return out;
+        }
+    }
+    throw std::invalid_argument("apply_nonconv_op: unknown op kind");
+}
+
+/// The seed tree walk: runs `graph` on `batch` and returns every tensor,
+/// indexed by tensor id. `conv(op_index, op, input)` computes each conv.
+template <typename ConvFn>
+std::vector<tensor::Tensor> walk(const ir::Graph& graph, tensor::TensorView batch,
+                                 ConvFn&& conv) {
+    std::vector<tensor::Tensor> tensors(static_cast<std::size_t>(graph.num_tensors()));
+    tensors[static_cast<std::size_t>(graph.input_id())] = tensor::Tensor(
+        batch.shape, std::vector<float>(batch.data, batch.data + batch.size()));
+    for (std::size_t i = 0; i < graph.ops().size(); ++i) {
+        const ir::Op& op = graph.ops()[i];
+        tensor::Tensor out;
+        if (op.kind == ir::OpKind::Conv2d) {
+            out = conv(i, op, tensors[static_cast<std::size_t>(op.inputs.at(0))]);
+        } else {
+            std::vector<const tensor::Tensor*> ins;
+            ins.reserve(op.inputs.size());
+            for (int id : op.inputs) ins.push_back(&tensors[static_cast<std::size_t>(id)]);
+            out = apply_nonconv_op(op, ins);
+        }
+        tensors[static_cast<std::size_t>(op.output)] = std::move(out);
+    }
+    return tensors;
+}
+
+/// The FP32 oracle: every tensor of a float run, indexed by tensor id.
+inline std::vector<tensor::Tensor> run_float_all(const ir::Graph& graph,
+                                                 tensor::TensorView batch) {
+    return walk(graph, batch, [](std::size_t, const ir::Op& op, const tensor::Tensor& in) {
+        return conv_float(op, in);
+    });
+}
 
 inline void im2col_u8(const std::vector<std::uint8_t>& qx, const tensor::Shape& s, int kh,
                       int kw, int stride, int pad, std::vector<std::uint8_t>& columns,
@@ -149,23 +297,10 @@ inline tensor::Tensor run_quantized(const quant::QuantizedGraph& qgraph,
                                     inject::BitFlipInjector* injector = nullptr,
                                     quant::QuantExecStats* stats = nullptr) {
     const ir::Graph& graph = qgraph.graph();
-    std::vector<tensor::Tensor> tensors(static_cast<std::size_t>(graph.num_tensors()));
-    tensors[static_cast<std::size_t>(graph.input_id())] = batch;
-    for (std::size_t i = 0; i < graph.ops().size(); ++i) {
-        const ir::Op& op = graph.ops()[i];
-        tensor::Tensor out;
-        if (op.kind == ir::OpKind::Conv2d) {
-            out = conv_quantized(op, qgraph.conv(i), qgraph.config().padding,
-                                 tensors[static_cast<std::size_t>(op.inputs.at(0))], injector,
-                                 stats);
-        } else {
-            std::vector<const tensor::Tensor*> ins;
-            ins.reserve(op.inputs.size());
-            for (int id : op.inputs) ins.push_back(&tensors[static_cast<std::size_t>(id)]);
-            out = ir::apply_nonconv_op(op, ins);
-        }
-        tensors[static_cast<std::size_t>(op.output)] = std::move(out);
-    }
+    auto tensors = walk(graph, batch, [&](std::size_t i, const ir::Op& op,
+                                          const tensor::Tensor& in) {
+        return conv_quantized(op, qgraph.conv(i), qgraph.config().padding, in, injector, stats);
+    });
     return std::move(tensors[static_cast<std::size_t>(graph.output_id())]);
 }
 

@@ -6,9 +6,9 @@
 #include <thread>
 
 #include "data/synthetic_dataset.hpp"
-#include "ir/float_executor.hpp"
 #include "nn/zoo.hpp"
 #include "quant/calibration.hpp"
+#include "seed_interpreter_ref.hpp"
 
 namespace {
 
@@ -135,7 +135,7 @@ TEST(IrGraph, ShapeInferenceMatchesExecution) {
     const auto graph = net.export_ir();
     const auto shapes = ir::infer_shapes(graph, 3);
     const data::SyntheticDataset ds(tiny_config());
-    const auto tensors = ir::run_float_all(graph, ds.test_batch(0, 3));
+    const auto tensors = seedref::run_float_all(graph, ds.test_batch(0, 3));
     for (std::size_t i = 0; i < tensors.size(); ++i) {
         if (tensors[i].size() == 0) continue;
         EXPECT_EQ(tensors[i].shape(), shapes[i]) << "tensor " << i;

@@ -2,14 +2,18 @@
 //
 // The contract under test is strict bit-identity: planned execution (with
 // arena reuse, cache-tiled integer GEMM, thread pools, zero-copy batch
-// views) must reproduce the seed interpreters to the last bit. The float
-// reference is ir::run_float_all (the retained seed walker); the
-// quantized reference is the verbatim seed interpreter kept in
-// tests/seed_interpreter_ref.hpp (shared with bench/exec_throughput), so
-// the library no longer has to carry the duplicate.
+// views) must reproduce the seed interpreters to the last bit. Both
+// references live in tests/seed_interpreter_ref.hpp (shared with
+// bench/exec_throughput), so the library carries one executor: the FP32
+// oracle is seedref::run_float_all, the quantized one
+// seedref::run_quantized. The engine's per-tensor visit, and calibration
+// streamed off it, are checked against the FP32 oracle tensor by tensor.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 
 #include "exec/engine.hpp"
@@ -17,7 +21,7 @@
 #include "exec/kernels_simd.hpp"
 #include "exec/plan_cache.hpp"
 #include "exec/quant_backend.hpp"
-#include "ir/float_executor.hpp"
+#include "nn/zoo.hpp"
 #include "quant/calibration.hpp"
 #include "quant/evaluate.hpp"
 #include "quant/methods.hpp"
@@ -124,11 +128,10 @@ quant::QuantizedGraph quantize(const ir::Graph& graph, quant::Method method,
     return quant::quantize_graph(graph, method, config, calib);
 }
 
-void expect_bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b,
-                          const char* what) {
-    ASSERT_EQ(a.shape(), b.shape()) << what;
+void expect_bitwise_equal(tensor::TensorView a, const tensor::Tensor& b, const char* what) {
+    ASSERT_EQ(a.shape, b.shape()) << what;
     for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(a[i], b[i]) << what << " element " << i;
+        ASSERT_EQ(a.data[i], b[i]) << what << " element " << i;
 }
 
 // ----------------------------------------------------------------- tests
@@ -138,7 +141,7 @@ TEST(ExecFloat, PlannedMatchesReferenceWalker) {
         exec::FloatRunner runner(graph, 4);
         for (const int n : {1, 2, 4}) {
             const tensor::Tensor batch = random_batch(n, 20 + static_cast<unsigned>(n));
-            const auto reference = ir::run_float_all(graph, batch);
+            const auto reference = seedref::run_float_all(graph, batch);
             const tensor::Tensor planned = runner.run(batch);
             expect_bitwise_equal(
                 planned, reference[static_cast<std::size_t>(graph.output_id())], "float");
@@ -212,12 +215,12 @@ TEST(ExecPlan, ArenaAliasesDeadIntermediatesSafely) {
     const exec::ExecPlan plan(graph, exec::PlanOptions{2, true});
     // Reuse must actually happen on a branching graph...
     EXPECT_LT(plan.arena_floats(), plan.total_tensor_floats());
-    // ...without perturbing a single output bit (checked via the walker).
+    // ...without perturbing a single output bit (checked via the oracle).
     exec::FloatBackend backend;
     exec::ExecContext ctx;
     const tensor::Tensor batch = random_batch(2, 13);
     const tensor::Tensor planned = exec::run(plan, backend, ctx, batch);
-    const auto reference = ir::run_float_all(graph, batch);
+    const auto reference = seedref::run_float_all(graph, batch);
     expect_bitwise_equal(planned, reference[static_cast<std::size_t>(graph.output_id())],
                          "arena");
     // A no-reuse plan needs the full sum.
@@ -590,16 +593,63 @@ TEST(ExecThreading, LevelParallelRunsAreCountedAndBitIdentical) {
     EXPECT_GT(exec::level_parallel_levels(), levels_before);
 }
 
-TEST(ExecWalker, EagerFreeVisitsEveryTensorWithReferenceValues) {
-    const ir::Graph graph = branch_graph();
-    const tensor::Tensor batch = random_batch(2, 67);
-    const auto reference = ir::run_float_all(graph, batch);
-    std::vector<int> visits(static_cast<std::size_t>(graph.num_tensors()), 0);
-    ir::for_each_float_tensor(graph, batch, [&](int id, const tensor::Tensor& t) {
-        ++visits[static_cast<std::size_t>(id)];
-        expect_bitwise_equal(t, reference[static_cast<std::size_t>(id)], "walker");
-    });
-    for (const int count : visits) EXPECT_EQ(count, 1);
+TEST(ExecVisit, VisitsEveryTensorOnceInScheduleOrderWithOracleValues) {
+    // The input first, then each op output in schedule order, each with
+    // the oracle's value at visit time — before any later op reuses its
+    // arena region. A pool must not fan levels out under a visit. A fresh
+    // context per run keeps a previous run's values out of the arena.
+    exec::ThreadPool pool(2);
+    unsigned seed = 300;
+    for (const auto& graph : {chain_graph(), branch_graph()}) {
+        const exec::ExecPlan plan(graph, exec::PlanOptions{4, true});
+        std::vector<int> expected_order{graph.input_id()};
+        for (const exec::OpStep& step : plan.schedule())
+            expected_order.push_back(graph.ops()[static_cast<std::size_t>(step.op_index)].output);
+        for (const int n : {1, 2, 4}) {
+            for (exec::ThreadPool* run_pool : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+                const tensor::Tensor batch = random_batch(n, ++seed);
+                const auto reference = seedref::run_float_all(graph, batch);
+                std::vector<int> order;
+                exec::FloatBackend backend;
+                exec::ExecContext ctx;
+                exec::RunOptions options;
+                options.pool = run_pool;
+                options.visit = [&](int id, tensor::TensorView t) {
+                    order.push_back(id);
+                    expect_bitwise_equal(t, reference[static_cast<std::size_t>(id)], "visit");
+                };
+                const std::uint64_t fanned_before = exec::level_parallel_runs();
+                const tensor::Tensor out = exec::run(plan, backend, ctx, batch, options);
+                EXPECT_EQ(exec::level_parallel_runs(), fanned_before);
+                EXPECT_EQ(order, expected_order) << "n=" << n << (run_pool ? " pool" : "");
+                expect_bitwise_equal(out, reference[static_cast<std::size_t>(graph.output_id())],
+                                     "visited run output");
+            }
+        }
+    }
+}
+
+TEST(ExecVisit, CalibrationStatsMatchOracleOnEveryZooTopology) {
+    // quant::calibrate streams its statistics off the engine's visit; they
+    // must be byte-identical to compute_stats over every oracle tensor.
+    for (const std::string& name : nn::all_networks()) {
+        const ir::Graph graph = nn::make_network(name).export_ir();  // untrained
+        const tensor::Shape in = graph.input_shape();
+        tensor::Tensor images({8, in.c, in.h, in.w});
+        std::mt19937 rng(17);
+        std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+        for (auto& v : images.vec()) v = dist(rng);
+        const quant::CalibrationData calib =
+            quant::calibrate(graph, images, std::vector<int>(8, 0));
+        const auto reference = seedref::run_float_all(graph, images);
+        ASSERT_EQ(calib.per_tensor.size(), reference.size()) << name;
+        for (std::size_t id = 0; id < reference.size(); ++id) {
+            const quant::TensorStats expected =
+                quant::compute_stats(reference[id].data(), reference[id].size());
+            EXPECT_EQ(std::memcmp(&calib.per_tensor[id], &expected, sizeof expected), 0)
+                << name << " tensor " << id;
+        }
+    }
 }
 
 TEST(TensorView, BatchViewIsZeroCopyAndEquivalent) {

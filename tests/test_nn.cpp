@@ -5,7 +5,7 @@
 
 #include "common/rng.hpp"
 #include "data/synthetic_dataset.hpp"
-#include "ir/float_executor.hpp"
+#include "exec/engine.hpp"
 #include "nn/model_cache.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
@@ -275,7 +275,7 @@ TEST(Network, IrExportMatchesModuleInference) {
     const Tensor batch = ds.test_batch(0, 32);
     const Tensor module_logits = net.forward(batch, /*training=*/false);
     const auto graph = net.export_ir();
-    const Tensor ir_logits = ir::run_float(graph, batch);
+    const Tensor ir_logits = exec::FloatRunner(graph, batch.shape().n).run(batch);
     ASSERT_EQ(module_logits.size(), ir_logits.size());
     for (std::size_t i = 0; i < module_logits.size(); ++i)
         ASSERT_NEAR(module_logits[i], ir_logits[i], 5e-3f) << "logit " << i;

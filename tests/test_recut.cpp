@@ -378,6 +378,56 @@ TEST_F(Recut, DrainAndSwapKeepsBitIdentityUnderContinuousTraffic) {
     }
 }
 
+TEST_F(Recut, SwapWaitsOutInFlightBackgroundBuilds) {
+    // Every batch boundary crosses the requant threshold, so the four
+    // devices' background builds queue back to back on one service
+    // worker while the monitors re-cut. A build still queued or
+    // running when the swap remaps its device would read the sub-graph of
+    // one cut with the calibration slice of the other, and the exception
+    // quantize_graph throws on the service thread ends the process. Each
+    // round is one chance to hit that window, so the test runs several.
+    serve::ServeConfig cfg;
+    cfg.num_devices = 4;
+    cfg.num_shards = 2;
+    cfg.num_workers = 2;
+    cfg.max_batch = 1;
+    cfg.initial_age_step_years = aging_->years_for_dvth(dvth_for_delay_ratio(2.0));
+    cfg.device.guardband_fraction = 1.2;
+    cfg.device.requant_threshold_mv = 1e-9;
+    cfg.device.age_acceleration = 1e3;
+    cfg.background_requant = true;
+    cfg.repartition.enabled = true;
+    cfg.repartition.imbalance_ratio = 1.4;
+    cfg.repartition.min_batches = 2;
+    cfg.repartition.poll_ms = 1;
+    for (int round = 0; round < 8; ++round) {
+        serve::NpuServer server(context(), cfg);
+        int submitted = 0;
+        const auto submit_phase = [&] {
+            std::vector<std::future<serve::InferenceResult>> futures;
+            for (int i = 0; i < 16; ++i)
+                futures.push_back(server.submit(test_image(submitted++ % 100)));
+            for (auto& f : futures) EXPECT_FALSE(f.get().logits.empty());
+        };
+        const auto deadline = std::chrono::steady_clock::now() + 30s;
+        while (server.shard_group(0).partition_generation() < 2 &&
+               std::chrono::steady_clock::now() < deadline)
+            submit_phase();
+        ASSERT_GE(server.shard_group(0).partition_generation(), 2u)
+            << "online re-cut did not happen within the deadline";
+        submit_phase();  // the new cut serves too
+        server.shutdown();
+
+        int background_builds = 0;
+        for (int g = 0; g < 2; ++g)
+            for (int k = 0; k < 2; ++k)
+                for (const serve::RequantEvent& event :
+                     server.shard_group(g).shard(k).stats().requant_events)
+                    background_builds += event.background && !event.recut;
+        EXPECT_GE(background_builds, 1) << "round " << round;
+    }
+}
+
 TEST_F(Recut, BalancedPipelineNeverRecuts) {
     constexpr int kRequests = 40;
     serve::ServeConfig cfg;

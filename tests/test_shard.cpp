@@ -15,9 +15,9 @@
 #include "common/rng.hpp"
 #include "core/compression_selector.hpp"
 #include "data/synthetic_dataset.hpp"
+#include "exec/engine.hpp"
 #include "exec/plan_cache.hpp"
 #include "exec/subplan.hpp"
-#include "ir/float_executor.hpp"
 #include "ir/partition.hpp"
 #include "netlist/builders.hpp"
 #include "nn/trainer.hpp"
@@ -25,6 +25,7 @@
 #include "nn/zoo.hpp"
 #include "quant/methods.hpp"
 #include "quant/quant_executor.hpp"
+#include "seed_interpreter_ref.hpp"
 #include "serve/server.hpp"
 #include "serve/shard_group.hpp"
 
@@ -248,7 +249,8 @@ TEST(Partition, ChainedSubgraphsReproduceFullFloatExecutionAtEveryBoundary) {
     const ir::Graph g = make_residual_graph();
     const tensor::Tensor batch = random_batch(g.input_shape(), 3, 0xBA7C4);
     // Reference: every intermediate of the full graph, by tensor id.
-    const std::vector<tensor::Tensor> full = ir::run_float_all(g, batch.batch_view(0, 3));
+    const std::vector<tensor::Tensor> full =
+        seedref::run_float_all(g, batch.batch_view(0, 3));
 
     for (const int num_shards : {2, 3}) {
         const auto shards = ir::partition_graph(g, num_shards);
@@ -257,7 +259,7 @@ TEST(Partition, ChainedSubgraphsReproduceFullFloatExecutionAtEveryBoundary) {
             const ir::Subgraph sub = ir::extract_subgraph(g, spec);
             EXPECT_EQ(sub.full_tensor_of.front(), spec.input_tensor);
             EXPECT_EQ(sub.full_tensor_of.back(), spec.output_tensor);
-            acts = ir::run_float(sub.graph, acts.batch_view(0, 3));
+            acts = exec::FloatRunner(sub.graph, 3).run(acts.batch_view(0, 3));
             // The boundary tensor handed to the next shard must be
             // bit-identical to the full execution's intermediate.
             const tensor::Tensor& ref = full[static_cast<std::size_t>(spec.output_tensor)];
