@@ -86,9 +86,6 @@ int main(int argc, char** argv) try {
     cfg.repartition.imbalance_ratio = 1.4;
     cfg.repartition.min_batches = 4;
     cfg.repartition.poll_ms = 1;
-    // Device-private execution pools: the scrape below shows the active
-    // SIMD dispatch tier and counts the level-parallel runs these enable.
-    cfg.device.exec_threads = 2;
     // Telemetry on: metrics registry + 10% deterministic trace sampling.
     cfg.telemetry.metrics = true;
     cfg.telemetry.trace_sample_rate = 0.10;

@@ -8,7 +8,6 @@
 
 #include "exec/context.hpp"
 #include "exec/plan.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace raq::exec {
 
@@ -22,11 +21,6 @@ struct ConvCall {
     tensor::Shape in_shape;
     float* out = nullptr;
     tensor::Shape out_shape;
-    ThreadPool* pool = nullptr;  ///< null ⇒ serial execution
-    /// Workspace this invocation owns exclusively: the context's scratch
-    /// in serial execution, a lane-private one under level-parallel
-    /// fan-out. Always set by the engine.
-    ConvScratch* scratch = nullptr;
 };
 
 class Backend {
@@ -37,14 +31,9 @@ public:
     /// `plan`, so the run itself is allocation-free.
     virtual void prepare(const ExecPlan& plan, ExecContext& ctx) const = 0;
 
-    /// Execute one convolution. Must fully overwrite `call.out` and, when
-    /// `call.pool` is set, stay bit-identical to serial execution.
+    /// Execute one convolution on `ctx.scratch`. Must fully overwrite
+    /// `call.out`.
     virtual void conv(const ConvCall& call, ExecContext& ctx) = 0;
-
-    /// True when runs must execute ops strictly in schedule (op-index)
-    /// order — e.g. an ordered fault-injection stream is attached. The
-    /// engine then never fans a dependency level out over the pool.
-    [[nodiscard]] virtual bool serial_only() const { return false; }
 };
 
 /// FP32 reference datapath: im2col + float GEMM + bias, numerically

@@ -1,5 +1,5 @@
-// ExecContext: the per-thread mutable state of one execution lane — the
-// tensor arena plus every conv scratch buffer (float and quantized).
+// ExecContext: the per-thread mutable state of the engine — the tensor
+// arena plus every conv scratch buffer (float and quantized).
 // Contexts are reused across runs (buffers only grow, so steady-state
 // serving does zero allocation) and must never be shared by concurrent
 // runs: the plan is the shared immutable half, the context the private
@@ -16,10 +16,7 @@ namespace raq::exec {
 
 class ExecPlan;
 
-/// Workspace of one convolution invocation. The engine hands each conv a
-/// scratch set that no concurrently running op touches: the context's own
-/// set in serial execution, a lane-private one when a whole dependency
-/// level fans out over the thread pool.
+/// Workspace of one convolution invocation, reused by every conv of a run.
 struct ConvScratch {
     // Float conv scratch.
     std::vector<float> columns;  ///< im2col matrix [kdim, cols]
@@ -33,12 +30,6 @@ struct ConvScratch {
     std::vector<std::uint8_t> wprep;       ///< weight matrix in the tier's layout (packed GEMM)
     std::vector<std::int32_t> acc32;       ///< narrow accumulator tile (fast path)
     std::vector<std::int64_t> acc64;       ///< full-width accumulator (injection/overflow-safe)
-    /// Lane-private accumulator tiles for channel-split execution of one
-    /// conv; persist across convs and runs so pool mode also allocates
-    /// nothing in steady state. Indexed by ThreadPool lane.
-    std::vector<std::vector<std::int32_t>> lane_acc32;
-    std::vector<std::vector<std::int64_t>> lane_acc64;
-    std::vector<std::vector<std::uint8_t>> lane_packed;
 };
 
 struct ExecContext {
@@ -52,11 +43,7 @@ struct ExecContext {
     std::uint64_t shapes_plan_serial = 0;  ///< ExecPlan::serial() cache key
     int shapes_batch_n = 0;
 
-    /// Conv workspace for serial execution (and single-op levels).
-    ConvScratch scratch;
-    /// Lane-private conv workspaces for level-parallel execution, indexed
-    /// by ThreadPool lane; grown on first fan-out, then reused forever.
-    std::vector<ConvScratch> level_lanes;
+    ConvScratch scratch;  ///< conv workspace
 
     /// Grow-only resize: keeps steady-state runs allocation-free.
     template <typename T>

@@ -1,25 +1,12 @@
 #include "exec/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
 #include "exec/kernels.hpp"
 
 namespace raq::exec {
-
-namespace {
-std::atomic<std::uint64_t> g_level_parallel_runs{0};
-std::atomic<std::uint64_t> g_level_parallel_levels{0};
-}  // namespace
-
-std::uint64_t level_parallel_runs() {
-    return g_level_parallel_runs.load(std::memory_order_relaxed);
-}
-std::uint64_t level_parallel_levels() {
-    return g_level_parallel_levels.load(std::memory_order_relaxed);
-}
 
 tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                    tensor::TensorView batch, const RunOptions& options) {
@@ -49,9 +36,8 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
     buffers[static_cast<std::size_t>(graph.input_id())] = batch.data;
     if (options.visit) options.visit(graph.input_id(), batch);
 
-    // Per-level profiling accumulates locally and fires the hook once per
-    // level after the run (serial: summed per-op; fanned: the level's
-    // wall time, which is what the level actually cost the run).
+    // Per-level profiling sums each op's host time into its level and
+    // fires the hook once per level after the run.
     const bool timed = options.level_hook != nullptr && *options.level_hook != nullptr;
     std::vector<double> level_us;
     if (timed) {
@@ -60,12 +46,10 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
         level_us.assign(static_cast<std::size_t>(max_level) + 1, 0.0);
     }
 
-    // One op, executed with an exclusively owned conv workspace. Writing
-    // buffers[output] from concurrent lanes is safe: ops of one level have
-    // distinct outputs (distinct vector elements), and the pool barrier
-    // publishes them to the next level.
-    const auto exec_op = [&](int op_index, ThreadPool* pool, ConvScratch& scratch) {
-        const ir::Op& op = graph.ops()[static_cast<std::size_t>(op_index)];
+    for (const OpStep& step : plan.schedule()) {
+        const std::chrono::steady_clock::time_point op_start =
+            timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
+        const ir::Op& op = graph.ops()[static_cast<std::size_t>(step.op_index)];
         const tensor::Shape& out_shape = shapes[static_cast<std::size_t>(op.output)];
         float* out = ctx.arena.data() + plan.offset_of(op.output);
         const float* in0 = buffers[static_cast<std::size_t>(op.inputs.at(0))];
@@ -74,15 +58,13 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
         switch (op.kind) {
             case ir::OpKind::Conv2d: {
                 ConvCall call;
-                call.op_index = op_index;
+                call.op_index = step.op_index;
                 call.op = &op;
-                call.geom = plan.conv_geom(op_index);
+                call.geom = plan.conv_geom(step.op_index);
                 call.in = in0;
                 call.in_shape = in0_shape;
                 call.out = out;
                 call.out_shape = out_shape;
-                call.pool = pool;
-                call.scratch = &scratch;
                 backend.conv(call, ctx);
                 break;
             }
@@ -112,65 +94,12 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
             }
         }
         buffers[static_cast<std::size_t>(op.output)] = out;
-    };
-
-    // Level-parallel mode: fan the mutually independent ops of each level
-    // out over the pool (each fanned op runs its conv serially on a
-    // lane-private workspace — the pool is not reentrant); single-op
-    // levels keep the conv-internal channel split instead. The arena's
-    // level floors guarantee no two same-level tensors share bytes.
-    // Backends with ordered hooks (serial_only) and runs with a visit
-    // take the schedule path.
-    const bool fan_levels = options.pool != nullptr && plan.has_parallel_levels() &&
-                            !backend.serial_only() && !options.visit;
-    if (fan_levels) {
-        const std::vector<int>& order = plan.level_order();
-        const std::vector<std::size_t>& bounds = plan.level_bounds();
-        std::uint64_t fanned = 0;
-        for (std::size_t level = 0; level + 1 < bounds.size(); ++level) {
-            const std::chrono::steady_clock::time_point level_start =
-                timed ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{};
-            const std::size_t begin = bounds[level];
-            const std::size_t count = bounds[level + 1] - begin;
-            if (count <= 1) {
-                if (count == 1) exec_op(order[begin], options.pool, ctx.scratch);
-            } else {
-                const std::size_t lanes = static_cast<std::size_t>(options.pool->size());
-                if (ctx.level_lanes.size() < lanes) ctx.level_lanes.resize(lanes);
-                ++fanned;
-                options.pool->parallel_for(
-                    count, [&](std::size_t lane, std::size_t b, std::size_t e) {
-                        for (std::size_t i = b; i < e; ++i)
-                            exec_op(order[begin + i], nullptr, ctx.level_lanes[lane]);
-                    });
-            }
-            if (timed)
-                level_us[level] += std::chrono::duration<double, std::micro>(
-                                       std::chrono::steady_clock::now() - level_start)
-                                       .count();
-        }
-        if (fanned > 0) {
-            g_level_parallel_runs.fetch_add(1, std::memory_order_relaxed);
-            g_level_parallel_levels.fetch_add(fanned, std::memory_order_relaxed);
-        }
-    } else {
-        for (const OpStep& step : plan.schedule()) {
-            const std::chrono::steady_clock::time_point op_start =
-                timed ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{};
-            exec_op(step.op_index, options.pool, ctx.scratch);
-            if (timed)
-                level_us[static_cast<std::size_t>(step.level)] +=
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - op_start)
-                        .count();
-            if (options.visit) {
-                const int id = graph.ops()[static_cast<std::size_t>(step.op_index)].output;
-                options.visit(id, tensor::TensorView(buffers[static_cast<std::size_t>(id)],
-                                                     shapes[static_cast<std::size_t>(id)]));
-            }
-        }
+        if (timed)
+            level_us[static_cast<std::size_t>(step.level)] +=
+                std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
+                                                          op_start)
+                    .count();
+        if (options.visit) options.visit(op.output, tensor::TensorView(out, out_shape));
     }
     if (timed)
         for (std::size_t level = 0; level < level_us.size(); ++level)
@@ -184,18 +113,14 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
     return result;
 }
 
-FloatRunner::FloatRunner(const ir::Graph& graph, int batch_capacity, ThreadPool* pool)
-    : plan_(std::make_unique<ExecPlan>(graph, PlanOptions{batch_capacity, true})),
-      pool_(pool) {}
+FloatRunner::FloatRunner(const ir::Graph& graph, int batch_capacity)
+    : plan_(std::make_unique<ExecPlan>(graph, PlanOptions{batch_capacity})) {}
 
 tensor::Tensor FloatRunner::run(tensor::TensorView batch) {
     if (batch.shape.n > plan_->batch_capacity())
         // Recompile at the larger capacity, sharing the owned graph.
-        plan_ = std::make_unique<ExecPlan>(plan_->graph_shared(),
-                                           PlanOptions{batch.shape.n, true});
-    RunOptions options;
-    options.pool = pool_;
-    return exec::run(*plan_, backend_, ctx_, batch, options);
+        plan_ = std::make_unique<ExecPlan>(plan_->graph_shared(), PlanOptions{batch.shape.n});
+    return exec::run(*plan_, backend_, ctx_, batch);
 }
 
 }  // namespace raq::exec

@@ -3,16 +3,12 @@
 // executions: the plan is immutable, each thread brings its own context
 // (and backend instance, when the backend carries per-run hooks).
 //
-// Determinism guarantee: with or without a thread pool, outputs are bit-
-// identical — parallelism only ever (a) splits a convolution over
-// disjoint output-channel ranges, or (b) fans the mutually independent
-// ops of one dependency level out over the pool; per-element arithmetic
-// and each op's reduction order are unchanged either way. Backends that
-// carry an ordered per-product hook (bit-flip injection) report
-// serial_only() and always run in exact schedule order.
+// One execution order: a run executes the plan's ops in schedule
+// (op-index) order on the calling thread. Outputs are therefore a pure
+// function of (plan, backend, batch), and a backend's ordered per-product
+// hook (bit-flip injection) sees exactly the seed interpreter's order.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -31,12 +27,10 @@ using LevelTimingHook = std::function<void(int level, double host_us)>;
 /// Optional per-tensor visit, called on the calling thread: first with
 /// the input, then with each op's output in schedule order, right after
 /// that op runs and before any later op can reuse its arena region. The
-/// view is valid only for the duration of the call. A run with a visit
-/// takes the schedule path even when a pool is set.
+/// view is valid only for the duration of the call.
 using TensorVisit = std::function<void(int tensor_id, tensor::TensorView tensor)>;
 
 struct RunOptions {
-    ThreadPool* pool = nullptr;  ///< optional intra-plan parallelism (off by default)
     const LevelTimingHook* level_hook = nullptr;  ///< optional per-level profiling
     TensorVisit visit;  ///< optional per-tensor visit (see TensorVisit)
 };
@@ -47,13 +41,6 @@ struct RunOptions {
 [[nodiscard]] tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                                  tensor::TensorView batch, const RunOptions& options = {});
 
-/// Process-wide level-parallel execution counters (relaxed atomics): runs
-/// that fanned at least one dependency level over the pool, and the total
-/// number of fanned levels. Observability scrapes diff these to show
-/// which code path production batches actually take.
-[[nodiscard]] std::uint64_t level_parallel_runs();
-[[nodiscard]] std::uint64_t level_parallel_levels();
-
 /// Reusable FP32 execution state: plan + context + FloatBackend, growing
 /// its batch capacity on demand. One per thread. Compiles a private plan
 /// rather than using the PlanCache: FloatBackend reads weights from the
@@ -61,8 +48,7 @@ struct RunOptions {
 /// same-topology graphs with different weights.
 class FloatRunner {
 public:
-    explicit FloatRunner(const ir::Graph& graph, int batch_capacity = 1,
-                         ThreadPool* pool = nullptr);
+    explicit FloatRunner(const ir::Graph& graph, int batch_capacity = 1);
 
     [[nodiscard]] tensor::Tensor run(tensor::TensorView batch);
     [[nodiscard]] const ExecPlan& plan() const { return *plan_; }
@@ -71,7 +57,6 @@ private:
     std::unique_ptr<ExecPlan> plan_;
     FloatBackend backend_;
     ExecContext ctx_;
-    ThreadPool* pool_;
 };
 
 }  // namespace raq::exec

@@ -11,38 +11,23 @@ namespace raq::exec {
 
 namespace {
 
-/// Best-fit free-list allocator over a growable flat arena with
-/// level-granular lifetimes. Regions are measured in floats; freeing
-/// coalesces with adjacent free regions so long-lived plans do not
-/// fragment.
-///
-/// Every free region carries a *level floor*: the lowest dependency level
-/// allowed to reuse it, set when freeing to one past the highest level
-/// that ever touched the dead tensor. An allocation at level L only takes
-/// regions whose floor is ≤ L, so two tensors sharing bytes are always
-/// separated by at least one full level. That makes the one static layout
-/// valid under both execution orders the engine supports: serial op-index
-/// order (allocation is simulated in that order, so reuse is trivially
-/// safe) and level-parallel order (all accessors of the old tensor run in
-/// strictly earlier levels than every accessor of the new one, so
-/// concurrent ops of one level can never alias). Coalescing keeps the
-/// stricter (max) floor of the merged regions — conservative, never
-/// unsafe.
+/// Best-fit free-list allocator over a growable flat arena. Regions are
+/// measured in floats; freeing coalesces with adjacent free regions so
+/// long-lived plans do not fragment.
 class ArenaAllocator {
 public:
-    std::size_t allocate(std::size_t size, int level) {
-        // Best fit: smallest free region with a compatible floor.
+    std::size_t allocate(std::size_t size) {
+        // Best fit: smallest free region that holds `size`.
         auto best = free_.end();
         for (auto it = free_.begin(); it != free_.end(); ++it) {
-            if (it->second.size < size || it->second.floor > level) continue;
-            if (best == free_.end() || it->second.size < best->second.size) best = it;
+            if (it->second < size) continue;
+            if (best == free_.end() || it->second < best->second) best = it;
         }
         if (best != free_.end()) {
             const std::size_t offset = best->first;
-            const std::size_t remaining = best->second.size - size;
-            const int floor = best->second.floor;
+            const std::size_t remaining = best->second - size;
             free_.erase(best);
-            if (remaining > 0) free_[offset + size] = Region{remaining, floor};
+            if (remaining > 0) free_[offset + size] = remaining;
             return offset;
         }
         const std::size_t offset = high_water_;
@@ -50,22 +35,20 @@ public:
         return offset;
     }
 
-    void release(std::size_t offset, std::size_t size, int floor) {
-        auto [it, inserted] = free_.emplace(offset, Region{size, floor});
+    void release(std::size_t offset, std::size_t size) {
+        auto [it, inserted] = free_.emplace(offset, size);
         if (!inserted) throw std::logic_error("ArenaAllocator: double free");
         // Coalesce with the next free region.
         auto next = std::next(it);
-        if (next != free_.end() && it->first + it->second.size == next->first) {
-            it->second.size += next->second.size;
-            it->second.floor = std::max(it->second.floor, next->second.floor);
+        if (next != free_.end() && it->first + it->second == next->first) {
+            it->second += next->second;
             free_.erase(next);
         }
         // Coalesce with the previous free region.
         if (it != free_.begin()) {
             auto prev = std::prev(it);
-            if (prev->first + prev->second.size == it->first) {
-                prev->second.size += it->second.size;
-                prev->second.floor = std::max(prev->second.floor, it->second.floor);
+            if (prev->first + prev->second == it->first) {
+                prev->second += it->second;
                 free_.erase(it);
             }
         }
@@ -74,11 +57,7 @@ public:
     [[nodiscard]] std::size_t high_water() const { return high_water_; }
 
 private:
-    struct Region {
-        std::size_t size = 0;
-        int floor = 0;  ///< lowest level allowed to reuse this region
-    };
-    std::map<std::size_t, Region> free_;  ///< offset -> region, offset-ordered
+    std::map<std::size_t, std::size_t> free_;  ///< offset -> size, offset-ordered
     std::size_t high_water_ = 0;
 };
 
@@ -124,23 +103,6 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
     for (std::size_t i = 0; i < ops.size(); ++i)
         schedule_.push_back(OpStep{static_cast<int>(i), levels[i]});
 
-    // Level-major view of the same schedule (op order preserved within a
-    // level) for the engine's level-parallel mode.
-    int max_level = 0;
-    for (const int level : levels) max_level = std::max(max_level, level);
-    level_bounds_.assign(static_cast<std::size_t>(max_level) + 2, 0);
-    for (const int level : levels) ++level_bounds_[static_cast<std::size_t>(level) + 1];
-    for (std::size_t l = 1; l < level_bounds_.size(); ++l)
-        level_bounds_[l] += level_bounds_[l - 1];
-    level_order_.resize(ops.size());
-    {
-        std::vector<std::size_t> cursor(level_bounds_.begin(), level_bounds_.end() - 1);
-        for (std::size_t i = 0; i < ops.size(); ++i)
-            level_order_[cursor[static_cast<std::size_t>(levels[i])]++] = static_cast<int>(i);
-    }
-    for (std::size_t l = 0; l + 1 < level_bounds_.size(); ++l)
-        if (level_bounds_[l + 1] - level_bounds_[l] > 1) has_parallel_levels_ = true;
-
     // ---- tensor lifetimes: step producing each tensor and the step of
     // its last consumer. The graph output (and the external input) are
     // pinned for the whole run.
@@ -149,35 +111,21 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
     last_use[static_cast<std::size_t>(graph_->output_id())] = kLive;
     last_use[static_cast<std::size_t>(graph_->input_id())] = kLive;  // external anyway
 
-    // Highest dependency level that ever touches each tensor (producer or
-    // any consumer) — a freed region's level floor is one past this, which
-    // is what makes the layout valid for level-parallel execution too.
-    std::vector<int> max_access_level(num_tensors, 0);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        max_access_level[static_cast<std::size_t>(ops[i].output)] = levels[i];
-        for (const int in : ops[i].inputs)
-            max_access_level[static_cast<std::size_t>(in)] =
-                std::max(max_access_level[static_cast<std::size_t>(in)], levels[i]);
-    }
-
     // ---- arena assignment: allocate each op's output right before the op
     // runs (its inputs are still live, so an output region can never alias
-    // an input region), release inputs right after their last consumer.
-    // Regions are released with a level floor, so reuse also never pairs
-    // tensors of the same level — see ArenaAllocator.
+    // an input region), release inputs right after their last consumer, so
+    // a freed region is reusable from the next op on.
     offsets_.assign(num_tensors, kExternal);
     ArenaAllocator arena;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const int out = ops[i].output;
         const std::size_t out_size = shapes[static_cast<std::size_t>(out)].size();
         total_tensor_floats_ += out_size;
-        offsets_[static_cast<std::size_t>(out)] = arena.allocate(out_size, levels[i]);
-        if (!options_.reuse_buffers) continue;
+        offsets_[static_cast<std::size_t>(out)] = arena.allocate(out_size);
         // Tensor produced but never consumed (and not the output): its
         // region is reusable immediately after this op.
         if (last_use[static_cast<std::size_t>(out)] < static_cast<int>(i))
-            arena.release(offsets_[static_cast<std::size_t>(out)], out_size,
-                          levels[i] + 1);
+            arena.release(offsets_[static_cast<std::size_t>(out)], out_size);
         std::vector<int> dead(ops[i].inputs);
         std::sort(dead.begin(), dead.end());
         dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
@@ -185,8 +133,7 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
             if (last_use[static_cast<std::size_t>(in)] != static_cast<int>(i)) continue;
             if (in == graph_->input_id()) continue;  // external, not in the arena
             arena.release(offsets_[static_cast<std::size_t>(in)],
-                          shapes[static_cast<std::size_t>(in)].size(),
-                          max_access_level[static_cast<std::size_t>(in)] + 1);
+                          shapes[static_cast<std::size_t>(in)].size());
         }
     }
     arena_floats_ = arena.high_water();

@@ -9,11 +9,13 @@
 // capacity):
 //
 //  - topological op schedule with dependency levels (ops on one level are
-//    mutually independent),
+//    mutually independent; the levels label the per-level profile),
 //  - tensor lifetime analysis (birth step, last-consumer step),
 //  - arena buffer assignment: one flat float arena with best-fit reuse of
 //    regions whose tensors are dead (intermediates alias each other, so
-//    peak memory is the live-set maximum, not the tensor-count sum),
+//    peak memory is the live-set maximum, not the tensor-count sum). An
+//    op's output is allocated before its dying inputs are released, and a
+//    freed region is reusable from the next op on,
 //  - per-convolution geometry (output dims, im2col extents, whether the
 //    integer accumulator fits 32 bits, whether column buffers need
 //    pre-zeroing for padding).
@@ -36,9 +38,6 @@ struct PlanOptions {
     /// Largest batch the plan's arena is sized for; runs may use any
     /// n in [1, batch_capacity].
     int batch_capacity = 1;
-    /// Reuse arena regions of dead intermediates (the normal mode). Off
-    /// gives every tensor a private region (diagnostics only).
-    bool reuse_buffers = true;
 };
 
 /// Precomputed geometry of one convolution, sized at batch capacity.
@@ -81,20 +80,6 @@ public:
 
     [[nodiscard]] const std::vector<OpStep>& schedule() const { return schedule_; }
 
-    /// Op indices grouped by dependency level, ascending level, op order
-    /// preserved inside each level: level L is level_order()[level_bounds()[L]
-    /// .. level_bounds()[L+1]). Ops of one level share no data path, and the
-    /// arena gives their tensors level-granular lifetimes (a freed region is
-    /// only ever handed to a strictly later level), so the engine may run a
-    /// whole level concurrently — or keep the op-index schedule — on the
-    /// same arena layout.
-    [[nodiscard]] const std::vector<int>& level_order() const { return level_order_; }
-    [[nodiscard]] const std::vector<std::size_t>& level_bounds() const {
-        return level_bounds_;
-    }
-    /// True when any level holds more than one op (fan-out can help).
-    [[nodiscard]] bool has_parallel_levels() const { return has_parallel_levels_; }
-
     /// Arena offset (in floats) of a tensor, or kExternal for the graph
     /// input (which is read in place from the caller's batch view).
     static constexpr std::size_t kExternal = static_cast<std::size_t>(-1);
@@ -133,9 +118,6 @@ private:
     PlanOptions options_;
     std::uint64_t serial_ = 0;
     std::vector<OpStep> schedule_;
-    std::vector<int> level_order_;          ///< op indices, level-major
-    std::vector<std::size_t> level_bounds_; ///< per level, offsets into level_order_
-    bool has_parallel_levels_ = false;
     std::vector<std::size_t> offsets_;   ///< per tensor id; kExternal for the input
     std::vector<ConvGeom> conv_geom_;    ///< per op index; kdim == 0 for non-conv
     std::size_t arena_floats_ = 0;

@@ -45,7 +45,7 @@ std::shared_ptr<const ExecPlan> PlanCache::lookup(const ir::Graph& graph, int ca
 
 std::shared_ptr<const ExecPlan> PlanCache::get(const ir::Graph& graph, int capacity) {
     return lookup(graph, capacity, [&] {
-        return std::make_shared<const ExecPlan>(graph, PlanOptions{capacity, true});
+        return std::make_shared<const ExecPlan>(graph, PlanOptions{capacity});
     });
 }
 
@@ -54,8 +54,7 @@ std::shared_ptr<const ExecPlan> PlanCache::get(std::shared_ptr<const ir::Graph> 
     const ir::Graph& ref = *graph;
     return lookup(ref, capacity, [&] {
         // Shares the caller's graph — no weight copy on this path.
-        return std::make_shared<const ExecPlan>(std::move(graph),
-                                                PlanOptions{capacity, true});
+        return std::make_shared<const ExecPlan>(std::move(graph), PlanOptions{capacity});
     });
 }
 

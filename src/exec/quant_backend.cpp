@@ -67,7 +67,7 @@ void epilogue_rows(const quant::QConv& qc, std::size_t oc, const AccT* acc,
     }
 }
 
-/// Tiled integer GEMM + epilogue for output channels [oc_begin, oc_end) —
+/// Tiled integer GEMM + epilogue over every output channel —
 /// the scalar reference datapath, kept verbatim from the seed-matching
 /// implementation (the injection path shares its arithmetic exactly).
 /// AccT is int32 when the plan proved the row sum cannot overflow
@@ -78,14 +78,14 @@ template <typename AccT>
 void conv_rows(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                const std::uint8_t* columns, const std::int32_t* colsum, std::size_t cols,
                float* out, int shift, QuantExecStats* stats, std::vector<AccT>& acc,
-               std::size_t tile, std::size_t oc_begin, std::size_t oc_end) {
+               std::size_t tile) {
     const std::size_t kdim = g.kdim;
     const std::size_t out_c = static_cast<std::size_t>(op.conv.out_c);
     ExecContext::reserve(acc, tile);
 
     for (std::size_t j0 = 0; j0 < cols; j0 += tile) {
         const std::size_t jn = std::min(tile, cols - j0);
-        for (std::size_t oc = oc_begin; oc < oc_end; ++oc) {
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
             const std::uint8_t* wrow = qc.qweights.data() + oc * kdim;
             std::fill(acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(jn), AccT{0});
             for (std::size_t k = 0; k < kdim; ++k) {
@@ -99,7 +99,7 @@ void conv_rows(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                           stats);
         }
     }
-    if (stats) stats->mac_count += kdim * cols * (oc_end - oc_begin);
+    if (stats) stats->mac_count += kdim * cols * out_c;
 }
 
 /// Unpacked SIMD path (NEON, which has no packed pipeline): the
@@ -111,8 +111,7 @@ void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                     const std::uint8_t* columns, const std::int32_t* colsum,
                     std::size_t cols, float* out, int shift, QuantExecStats* stats,
                     std::vector<std::int32_t>& acc, std::size_t tile,
-                    kernels_simd::GemmU8Fn kernel, kernels_simd::EpilogueFn epi,
-                    std::size_t oc_begin, std::size_t oc_end) {
+                    kernels_simd::GemmU8Fn kernel, kernels_simd::EpilogueFn epi) {
     constexpr std::size_t kMr = kernels_simd::kGemmU8RowBlock;
     const std::size_t kdim = g.kdim;
     const std::size_t out_c = static_cast<std::size_t>(op.conv.out_c);
@@ -120,8 +119,8 @@ void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
 
     for (std::size_t j0 = 0; j0 < cols; j0 += tile) {
         const std::size_t jn = std::min(tile, cols - j0);
-        for (std::size_t oc = oc_begin; oc < oc_end; oc += kMr) {
-            const std::size_t mr = std::min(kMr, oc_end - oc);
+        for (std::size_t oc = 0; oc < out_c; oc += kMr) {
+            const std::size_t mr = std::min(kMr, out_c - oc);
             kernel(qc.qweights.data() + oc * kdim, kdim, mr, columns + j0, cols, kdim,
                    jn, acc.data(), tile);
             for (std::size_t r = 0; r < mr; ++r)
@@ -129,7 +128,7 @@ void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                               out_c, out, shift, stats, epi);
         }
     }
-    if (stats) stats->mac_count += kdim * cols * (oc_end - oc_begin);
+    if (stats) stats->mac_count += kdim * cols * out_c;
 }
 
 /// Packed SIMD pipeline (the datapath of every x86 tier): lay each column
@@ -143,8 +142,7 @@ void conv_rows_packed(const ir::Op& op, const quant::QConv& qc, const ConvGeom& 
                       const std::int32_t* colsum, std::size_t cols, float* out,
                       int shift, QuantExecStats* stats, std::vector<std::int32_t>& acc,
                       std::vector<std::uint8_t>& panel, std::size_t tile,
-                      const kernels_simd::PackedKernels& pk, kernels_simd::EpilogueFn epi,
-                      std::size_t oc_begin, std::size_t oc_end) {
+                      const kernels_simd::PackedKernels& pk, kernels_simd::EpilogueFn epi) {
     constexpr std::size_t kMr = kernels_simd::kGemmU8RowBlock;
     const std::size_t kdim = g.kdim;
     const std::size_t w_row_bytes = pk.weight_row_bytes(kdim);
@@ -158,8 +156,8 @@ void conv_rows_packed(const ir::Op& op, const quant::QConv& qc, const ConvGeom& 
             ExecContext::reserve(panel, pk.panel_bytes(kdim, jv));
             pk.pack(columns + j0, cols, kdim, jv, panel.data());
         }
-        for (std::size_t oc = oc_begin; oc < oc_end; oc += kMr) {
-            const std::size_t mr = std::min(kMr, oc_end - oc);
+        for (std::size_t oc = 0; oc < out_c; oc += kMr) {
+            const std::size_t mr = std::min(kMr, out_c - oc);
             if (jv != 0)
                 pk.gemm(wprep + oc * w_row_bytes, mr, panel.data(), kdim, jv, acc.data(),
                         tile);
@@ -177,7 +175,7 @@ void conv_rows_packed(const ir::Op& op, const quant::QConv& qc, const ConvGeom& 
             }
         }
     }
-    if (stats) stats->mac_count += kdim * cols * (oc_end - oc_begin);
+    if (stats) stats->mac_count += kdim * cols * out_c;
 }
 
 }  // namespace
@@ -194,10 +192,9 @@ void QuantBackend::prepare(const ExecPlan& plan, ExecContext& ctx) const {
 }
 
 void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
-    (void)ctx;
     const ir::Op& op = *call.op;
     const ConvGeom& g = *call.geom;
-    ConvScratch& scr = *call.scratch;
+    ConvScratch& scr = ctx.scratch;
     const quant::QConv& qc = qgraph_->conv(static_cast<std::size_t>(call.op_index));
     if (qc.act.zero_point != 0)
         throw std::logic_error("QuantBackend: activation zero-point must be 0");
@@ -276,49 +273,23 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
     // Fast path: tiled integer GEMM through the dispatch-selected kernel
     // (SIMD needs the overflow-safe i32 bound the plan proved; wider
     // convs keep the scalar int64 loop). The packed pipeline preps the
-    // weight matrix once per call — read-only after this, so shared
-    // across channel-split lanes. Parallel only without stats (the
-    // struct is unsynchronized); each lane owns a disjoint channel range
-    // and private accumulator/pack tiles, so results match serial bit
-    // for bit (lanes re-pack the same tile — redundant work, never a race).
+    // weight matrix once per call.
     const std::size_t tile = std::min(g.tile_cols, cols);
-    const bool use_packed = g.acc32_safe && packed_.gemm != nullptr;
-    if (use_packed) {
+    if (g.acc32_safe && packed_.gemm != nullptr) {
         ExecContext::reserve(scr.wprep, out_c * packed_.weight_row_bytes(g.kdim));
         packed_.prep(qc.qweights.data(), out_c, g.kdim, scr.wprep.data());
-    }
-    const auto run_range = [&](std::vector<std::int32_t>& acc32,
-                               std::vector<std::int64_t>& acc64,
-                               std::vector<std::uint8_t>& packed, std::size_t b,
-                               std::size_t e) {
-        if (use_packed)
-            conv_rows_packed(op, qc, g, columns, scr.wprep.data(), scr.colsum.data(), cols,
-                             call.out, shift, stats_, acc32, packed, tile, packed_,
-                             epilogue_kernel_, b, e);
-        else if (g.acc32_safe && simd_kernel_ != nullptr)
-            conv_rows_simd(op, qc, g, columns, scr.colsum.data(), cols, call.out, shift,
-                           stats_, acc32, tile, simd_kernel_, epilogue_kernel_, b, e);
-        else if (g.acc32_safe)
-            conv_rows<std::int32_t>(op, qc, g, columns, scr.colsum.data(), cols, call.out,
-                                    shift, stats_, acc32, tile, b, e);
-        else
-            conv_rows<std::int64_t>(op, qc, g, columns, scr.colsum.data(), cols, call.out,
-                                    shift, stats_, acc64, tile, b, e);
-    };
-    if (call.pool != nullptr && stats_ == nullptr && out_c > 1) {
-        // Lane-private accumulator/pack tiles live in the scratch and
-        // persist across convs/runs: pooled steady state allocates nothing.
-        const std::size_t lanes = static_cast<std::size_t>(call.pool->size());
-        if (scr.lane_acc32.size() < lanes) scr.lane_acc32.resize(lanes);
-        if (scr.lane_acc64.size() < lanes) scr.lane_acc64.resize(lanes);
-        if (scr.lane_packed.size() < lanes) scr.lane_packed.resize(lanes);
-        call.pool->parallel_for(out_c, [&](std::size_t lane, std::size_t b, std::size_t e) {
-            run_range(scr.lane_acc32[lane], scr.lane_acc64[lane], scr.lane_packed[lane], b,
-                      e);
-        });
+        conv_rows_packed(op, qc, g, columns, scr.wprep.data(), scr.colsum.data(), cols,
+                         call.out, shift, stats_, scr.acc32, scr.packed, tile, packed_,
+                         epilogue_kernel_);
+    } else if (g.acc32_safe && simd_kernel_ != nullptr) {
+        conv_rows_simd(op, qc, g, columns, scr.colsum.data(), cols, call.out, shift, stats_,
+                       scr.acc32, tile, simd_kernel_, epilogue_kernel_);
+    } else if (g.acc32_safe) {
+        conv_rows<std::int32_t>(op, qc, g, columns, scr.colsum.data(), cols, call.out, shift,
+                                stats_, scr.acc32, tile);
     } else {
-        // Serial: reuse scratch accumulators, no per-conv allocation.
-        run_range(scr.acc32, scr.acc64, scr.packed, 0, out_c);
+        conv_rows<std::int64_t>(op, qc, g, columns, scr.colsum.data(), cols, call.out, shift,
+                                stats_, scr.acc64, tile);
     }
 }
 

@@ -40,10 +40,8 @@ public:
     void bind(const quant::QuantizedGraph& qgraph) { qgraph_ = &qgraph; }
     [[nodiscard]] const quant::QuantizedGraph& bound() const { return *qgraph_; }
 
-    /// Per-run fault hooks (injector invoked once per MAC product). Runs
-    /// with an injector or stats attached execute serially regardless of
-    /// any thread pool: the injector stream is ordered and the stats are
-    /// unsynchronized.
+    /// Per-run fault hooks (injector invoked once per MAC product, in the
+    /// seed interpreter's order).
     void set_fault_hooks(inject::BitFlipInjector* injector, QuantExecStats* stats) {
         injector_ = injector;
         stats_ = stats;
@@ -63,12 +61,6 @@ public:
         colsum_kernel_ = scalar ? nullptr : kernels_simd::colsum_kernel(tier);
     }
     [[nodiscard]] kernels_simd::KernelTier kernel_tier() const { return tier_; }
-
-    /// The injector stream is ordered and the stats struct unsynchronized:
-    /// with either attached, the engine must keep exact schedule order.
-    [[nodiscard]] bool serial_only() const override {
-        return injector_ != nullptr || stats_ != nullptr;
-    }
 
     void prepare(const ExecPlan& plan, ExecContext& ctx) const override;
     void conv(const ConvCall& call, ExecContext& ctx) override;

@@ -40,7 +40,7 @@ CalibrationData calibrate(const ir::Graph& graph, tensor::TensorView images,
     // once, before its arena region is reused, so the peak is the plan's
     // arena, not every intermediate of the batch at once.
     out.per_tensor.resize(static_cast<std::size_t>(graph.num_tensors()));
-    const exec::ExecPlan plan(graph, exec::PlanOptions{images.shape.n, true});
+    const exec::ExecPlan plan(graph, exec::PlanOptions{images.shape.n});
     exec::FloatBackend backend;
     exec::ExecContext ctx;
     exec::RunOptions options;

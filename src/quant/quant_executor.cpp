@@ -29,15 +29,12 @@ private:
 
 }  // namespace
 
-QuantRunner::QuantRunner(const QuantizedGraph& qgraph, int batch_capacity,
-                         exec::ThreadPool* pool)
+QuantRunner::QuantRunner(const QuantizedGraph& qgraph, int batch_capacity)
     : plan_(exec::PlanCache::global().get(qgraph.graph(), batch_capacity)),
-      backend_(qgraph),
-      pool_(pool) {}
+      backend_(qgraph) {}
 
-QuantRunner::QuantRunner(std::shared_ptr<const QuantizedGraph> qgraph, int batch_capacity,
-                         exec::ThreadPool* pool)
-    : QuantRunner(*qgraph, batch_capacity, pool) {
+QuantRunner::QuantRunner(std::shared_ptr<const QuantizedGraph> qgraph, int batch_capacity)
+    : QuantRunner(*qgraph, batch_capacity) {
     pinned_ = std::move(qgraph);
 }
 
@@ -65,7 +62,6 @@ tensor::Tensor QuantRunner::run(tensor::TensorView batch, inject::BitFlipInjecto
         plan_ = exec::PlanCache::global().get(plan_->graph_shared(), batch.shape.n);
     const FaultHookGuard guard(backend_, injector, stats);
     exec::RunOptions options;
-    options.pool = pool_;
     if (level_hook_) options.level_hook = &level_hook_;
     return exec::run(*plan_, backend_, ctx_, batch, options);
 }

@@ -36,11 +36,10 @@ class QuantRunner {
 public:
     /// Borrowing form: `qgraph` must outlive the binding (next rebind or
     /// destruction). Prefer the shared_ptr forms, which pin the graph.
-    explicit QuantRunner(const QuantizedGraph& qgraph, int batch_capacity = 1,
-                         exec::ThreadPool* pool = nullptr);
+    explicit QuantRunner(const QuantizedGraph& qgraph, int batch_capacity = 1);
     /// Owning form: the runner keeps the graph alive itself.
     explicit QuantRunner(std::shared_ptr<const QuantizedGraph> qgraph,
-                         int batch_capacity = 1, exec::ThreadPool* pool = nullptr);
+                         int batch_capacity = 1);
 
     /// Swap the executed graph; its topology must match the planned one.
     /// Borrowing form: `qgraph` must stay alive until the next rebind
@@ -79,7 +78,6 @@ private:
     std::shared_ptr<const exec::ExecPlan> plan_;
     exec::QuantBackend backend_;
     exec::ExecContext ctx_;
-    exec::ThreadPool* pool_;
     exec::LevelTimingHook level_hook_;  ///< empty = profiling off
     std::shared_ptr<const QuantizedGraph> pinned_;  ///< set by the owning forms
 };

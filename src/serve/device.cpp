@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -146,10 +147,7 @@ void NpuDevice::install(const std::shared_ptr<const core::ModelState>& state, bo
     // compiled plan and all scratch buffers survive the swap; only the
     // thread holding the device exclusively runs the runner.
     if (!runner_) {
-        if (config_.exec_threads > 0 && !exec_pool_)
-            exec_pool_ = std::make_unique<exec::ThreadPool>(config_.exec_threads);
-        runner_.emplace(state->qgraph, std::max(1, config_.plan_batch_capacity),
-                        exec_pool_.get());
+        runner_.emplace(state->qgraph, std::max(1, config_.plan_batch_capacity));
     } else {
         runner_->rebind(state->qgraph);
     }
@@ -206,10 +204,19 @@ void NpuDevice::requant_inline(double dvth) {
 
 void NpuDevice::execute_requant(double dvth_mv, std::uint64_t generation) {
     const auto build_start = std::chrono::steady_clock::now();
-    auto built = job_->build(dvth_mv, generation);
     PendingOutcome outcome;
-    if (built)
-        outcome.state = std::make_shared<const core::ModelState>(std::move(*built));
+    std::string detail;
+    try {
+        auto built = job_->build(dvth_mv, generation);
+        if (built)
+            outcome.state = std::make_shared<const core::ModelState>(std::move(*built));
+        detail = outcome.state ? "feasible" : "infeasible";
+    } catch (const std::exception& e) {
+        // A build that throws publishes like an infeasible one: the device
+        // keeps serving its generation, adoption clears the in-flight gate,
+        // and discard_requant() finds the outcome it waits for.
+        detail = std::string("failed: ") + e.what();
+    }
     outcome.build_ms = ms_since(build_start);
     if (telemetry_) {
         // Build completion is its own timeline event (on the service
@@ -221,7 +228,7 @@ void NpuDevice::execute_requant(double dvth_mv, std::uint64_t generation) {
         re.device_id = id_;
         re.generation = generation;
         re.value = outcome.build_ms;
-        re.detail = outcome.state ? "feasible" : "infeasible";
+        re.detail = std::move(detail);
         telemetry_->timeline().record(std::move(re));
     }
     const common::MutexLock lock(pending_mutex_);

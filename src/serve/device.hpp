@@ -96,12 +96,6 @@ struct DeviceConfig {
     /// this to its max_batch so no plan recompile happens on the serving
     /// path; larger batches still work by growing the plan).
     int plan_batch_capacity = 1;
-    /// Intra-plan execution worker threads: > 0 gives the device a
-    /// private exec::ThreadPool so its runner splits convolutions over
-    /// output-channel ranges and fans independent dependency levels out
-    /// in parallel (bit-identical outputs either way — see
-    /// src/exec/engine.hpp). 0 (the default) executes serially.
-    int exec_threads = 0;
     /// Latency-reservoir capacity (exact count/mean/max regardless).
     std::size_t latency_reservoir = 4096;
     /// Traffic-driven aging (off by default): measure the device's host-
@@ -206,7 +200,9 @@ public:
     /// RequantService worker entry: build `generation` for aging level
     /// `dvth_mv` off the serving path and publish it into the pending
     /// slot. Touches only the immutable context and the pending slot, so
-    /// it runs concurrently with execute_batch().
+    /// it runs concurrently with execute_batch(). A build that throws
+    /// publishes as an infeasible one does (the device keeps its
+    /// generation) and records a "failed: <what>" RequantBuild event.
     void execute_requant(double dvth_mv, std::uint64_t generation)
         RAQ_EXCLUDES(pending_mutex_);
 
@@ -295,10 +291,6 @@ private:
     /// exec::PlanCache), arena and conv scratch survive across batches
     /// AND across re-quantizations (adoption rebinds the payload; the
     /// topology never changes). Only the serve thread touches it.
-    /// The pool (created with the runner when config.exec_threads > 0)
-    /// is device-private, so intra-plan parallelism never crosses the
-    /// device's exclusive-ownership boundary.
-    std::unique_ptr<exec::ThreadPool> exec_pool_;
     std::optional<quant::QuantRunner> runner_;
 
     /// Background double-buffer: the built-but-not-yet-adopted state.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exec/engine.hpp"
 #include "exec/kernels_simd.hpp"
 
 namespace raq::serve {
@@ -46,16 +45,11 @@ NpuServer::NpuServer(const ServeContext& ctx, const ServeConfig& config)
         }
         queue_depth_peak_ = &reg.gauge("raq_queue_depth_peak");
         // Execution-engine visibility: which SIMD dispatch tier this
-        // process runs (value = the KernelTier enum, name in the label)
-        // and how many runs actually fanned a dependency level out over
-        // a pool (delta-synced at scrape time — see sync_exec_metrics()).
+        // process runs (value = the KernelTier enum, name in the label).
         const auto tier = exec::kernels_simd::active_tier();
         reg.gauge("raq_exec_dispatch_tier",
                   {{"tier", exec::kernels_simd::tier_name(tier)}})
             .set(static_cast<double>(tier));
-        exec_parallel_counter_ = &reg.counter("raq_exec_level_parallel_runs_total");
-        exec_parallel_exported_.store(exec::level_parallel_runs(),
-                                      std::memory_order_relaxed);
     }
     // full_algorithm1 without a usable eval set fails loudly below:
     // every device's RequantJob validates it at construction (no silent
@@ -238,20 +232,7 @@ double NpuServer::sample_accuracy(int index, int samples) const {
         ->sample_accuracy(*ctx_.eval_images, *ctx_.eval_labels, samples);
 }
 
-void NpuServer::sync_exec_metrics() const {
-    if (!exec_parallel_counter_) return;
-    // The exec counters are process-wide; exporting the delta since the
-    // last sync (seeded with the construction-time baseline) attributes
-    // only this server's runs, and exchange() keeps concurrent scrapes
-    // from double-counting an interval.
-    const std::uint64_t now = exec::level_parallel_runs();
-    const std::uint64_t prev =
-        exec_parallel_exported_.exchange(now, std::memory_order_relaxed);
-    if (now > prev) exec_parallel_counter_->add(now - prev);
-}
-
 std::string NpuServer::export_metrics() const {
-    sync_exec_metrics();
     return telemetry_ ? telemetry_->metrics().expose() : std::string();
 }
 

@@ -182,11 +182,6 @@ private:
     /// Group i, checked against the layout the accessor serves.
     [[nodiscard]] const ShardGroup& group_at(int i, bool sharded_view) const;
     void worker_loop() RAQ_EXCLUDES(pool_mutex_);
-    /// Fold the process-wide level-parallel run count into the registry
-    /// counter as a delta since this server's construction baseline, so
-    /// scrapes show which execution path production batches actually
-    /// took. Called by the export paths; cheap and scrape-concurrent.
-    void sync_exec_metrics() const;
 
     ServeConfig config_;
     ServeContext ctx_;  ///< owned copy; pointed-to objects outlive the server
@@ -200,11 +195,6 @@ private:
     obs::Gauge* queue_depth_[kNumRequestClasses] = {};
     obs::Gauge* queue_depth_peak_ = nullptr;
     obs::Histogram* queue_wait_us_[kNumRequestClasses] = {};
-    /// Level-parallel execution counter, synced at scrape time from the
-    /// process-wide exec counters (delta since this server's baseline —
-    /// see sync_exec_metrics()).
-    obs::Counter* exec_parallel_counter_ = nullptr;
-    mutable std::atomic<std::uint64_t> exec_parallel_exported_{0};
     /// Declared before groups_ (destroyed after them): devices and
     /// groups consult the planner from their serve threads.
     std::unique_ptr<ReliabilityPlanner> planner_;

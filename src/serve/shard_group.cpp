@@ -14,26 +14,13 @@
 namespace raq::serve {
 
 ShardPartition make_shard_partition(const ir::Graph& graph,
-                                    const npu::SystolicConfig& systolic, int num_shards,
+                                    const std::vector<npu::SystolicConfig>& stage_systolic,
                                     int batch_capacity) {
     // Balance the cut on the systolic cycle model — the pipeline
     // bottleneck is the slowest shard, so per-layer cycles (not MACs)
-    // are the cost that matters.
-    ShardPartition out;
-    out.specs = ir::partition_graph(graph, num_shards, npu::op_cycle_costs(graph, systolic));
-    out.subplans.reserve(out.specs.size());
-    for (const ir::ShardSpec& spec : out.specs)
-        out.subplans.push_back(
-            exec::compile_subplan(graph, spec, std::max(1, batch_capacity)));
-    return out;
-}
-
-ShardPartition make_shard_partition(const ir::Graph& graph,
-                                    const std::vector<npu::SystolicConfig>& stage_systolic,
-                                    int batch_capacity) {
-    // Fresh-silicon heterogeneous cut: every stage priced on its own
-    // array's cycle model at a unit clock (no aging yet — re-cuts fold
-    // the aged clock periods in later).
+    // are the cost that matters. Fresh silicon: every stage is priced on
+    // its own array at a unit clock (re-cuts fold the aged clock periods
+    // in later).
     const std::vector<double> unit_clocks(stage_systolic.size(), 1.0);
     ShardPartition out;
     out.specs = ir::partition_graph_heterogeneous(
@@ -47,10 +34,13 @@ ShardPartition make_shard_partition(const ir::Graph& graph,
 
 ShardPartition make_group_partition(const ir::Graph& graph, const ShardGroupConfig& config) {
     if (config.num_shards == 1) return {};
-    const int capacity = std::max(1, config.device.plan_batch_capacity);
-    return config.per_shard_systolic.empty()
-               ? make_shard_partition(graph, config.device.systolic, config.num_shards, capacity)
-               : make_shard_partition(graph, config.per_shard_systolic, capacity);
+    return make_shard_partition(
+        graph,
+        config.per_shard_systolic.empty()
+            ? std::vector<npu::SystolicConfig>(static_cast<std::size_t>(config.num_shards),
+                                               config.device.systolic)
+            : config.per_shard_systolic,
+        config.device.plan_batch_capacity);
 }
 
 ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupConfig& config,

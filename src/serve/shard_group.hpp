@@ -97,16 +97,11 @@ struct ShardPartition {
     std::vector<exec::Subplan> subplans;  ///< graph + cache-resolved plan + tensor map
 };
 
-/// Cut `graph` into `num_shards` pipeline stages balanced on the
-/// systolic per-layer cycle model and compile each as a sub-plan at
-/// `batch_capacity` (through the global PlanCache).
-[[nodiscard]] ShardPartition make_shard_partition(const ir::Graph& graph,
-                                                  const npu::SystolicConfig& systolic,
-                                                  int num_shards, int batch_capacity);
-
-/// Heterogeneous-stage cut: stage k is balanced on ITS array's cycle
-/// model (`stage_systolic[k]`), so a narrow array gets proportionally
-/// less of the graph. One shard per entry.
+/// Cut `graph` into one pipeline stage per `stage_systolic` entry,
+/// balanced on the systolic per-layer cycle model with stage k priced on
+/// ITS array (a narrow array gets proportionally less of the graph), and
+/// compile each as a sub-plan at `batch_capacity` (through the global
+/// PlanCache).
 [[nodiscard]] ShardPartition make_shard_partition(
     const ir::Graph& graph, const std::vector<npu::SystolicConfig>& stage_systolic,
     int batch_capacity);

@@ -1,15 +1,16 @@
 // Tests for the planned execution engine (src/exec/).
 //
 // The contract under test is strict bit-identity: planned execution (with
-// arena reuse, cache-tiled integer GEMM, thread pools, zero-copy batch
-// views) must reproduce the seed interpreters to the last bit. Both
-// references live in tests/seed_interpreter_ref.hpp (shared with
-// bench/exec_throughput), so the library carries one executor: the FP32
-// oracle is seedref::run_float_all, the quantized one
-// seedref::run_quantized. The engine's per-tensor visit, and calibration
-// streamed off it, are checked against the FP32 oracle tensor by tensor.
+// arena reuse, cache-tiled integer GEMM, zero-copy batch views) must
+// reproduce the seed interpreters to the last bit. Both references live in
+// tests/seed_interpreter_ref.hpp (shared with bench/exec_throughput), so
+// the library carries one executor: the FP32 oracle is
+// seedref::run_float_all, the quantized one seedref::run_quantized. The
+// engine's per-tensor visit, and calibration streamed off it, are checked
+// against the FP32 oracle tensor by tensor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -212,7 +213,7 @@ TEST(ExecQuant, InjectionStreamMatchesSeedInterpreter) {
 
 TEST(ExecPlan, ArenaAliasesDeadIntermediatesSafely) {
     const ir::Graph graph = branch_graph();
-    const exec::ExecPlan plan(graph, exec::PlanOptions{2, true});
+    const exec::ExecPlan plan(graph, exec::PlanOptions{2});
     // Reuse must actually happen on a branching graph...
     EXPECT_LT(plan.arena_floats(), plan.total_tensor_floats());
     // ...without perturbing a single output bit (checked via the oracle).
@@ -223,21 +224,59 @@ TEST(ExecPlan, ArenaAliasesDeadIntermediatesSafely) {
     const auto reference = seedref::run_float_all(graph, batch);
     expect_bitwise_equal(planned, reference[static_cast<std::size_t>(graph.output_id())],
                          "arena");
-    // A no-reuse plan needs the full sum.
-    const exec::ExecPlan flat(graph, exec::PlanOptions{2, false});
-    EXPECT_EQ(flat.arena_floats(), flat.total_tensor_floats());
+}
+
+TEST(ExecPlan, ArenaNeverOverlapsLiveTensorsOnEveryZooTopology) {
+    // The one arena rule: a tensor owns its region from its producer op
+    // through its last consumer (the graph output through the end of the
+    // run). Two tensors live at a common op must occupy disjoint ranges,
+    // which includes an op's output against the inputs it reads.
+    for (const std::string& name : nn::all_networks()) {
+        const ir::Graph graph = nn::make_network(name).export_ir();  // untrained
+        const auto& ops = graph.ops();
+        const std::vector<int> last_use = ir::tensor_last_use(graph);
+        for (const int capacity : {1, 8}) {
+            const exec::ExecPlan plan(graph, exec::PlanOptions{capacity});
+            const std::vector<tensor::Shape> shapes = ir::infer_shapes(graph, capacity);
+            struct Live {
+                int id, first_op, last_op;
+                std::size_t begin, end;
+            };
+            std::vector<Live> live;
+            for (std::size_t i = 0; i < ops.size(); ++i) {
+                const int id = ops[i].output;
+                const int first = static_cast<int>(i);
+                const int last = id == graph.output_id()
+                                     ? static_cast<int>(ops.size())
+                                     : std::max(first, last_use[static_cast<std::size_t>(id)]);
+                const std::size_t begin = plan.offset_of(id);
+                const std::size_t end = begin + shapes[static_cast<std::size_t>(id)].size();
+                ASSERT_LE(end, plan.arena_floats()) << name << " tensor " << id;
+                live.push_back(Live{id, first, last, begin, end});
+            }
+            for (std::size_t a = 0; a < live.size(); ++a)
+                for (std::size_t b = a + 1; b < live.size(); ++b) {
+                    const Live& x = live[a];
+                    const Live& y = live[b];
+                    if (x.last_op < y.first_op || y.last_op < x.first_op) continue;
+                    EXPECT_TRUE(x.end <= y.begin || y.end <= x.begin)
+                        << name << " at capacity " << capacity << ": tensors " << x.id
+                        << " and " << y.id << " are live together and share arena floats";
+                }
+        }
+    }
 }
 
 TEST(ExecPlan, RejectsOversizedBatchesAndBadShapes) {
     const ir::Graph graph = chain_graph();
-    const exec::ExecPlan plan(graph, exec::PlanOptions{2, true});
+    const exec::ExecPlan plan(graph, exec::PlanOptions{2});
     exec::FloatBackend backend;
     exec::ExecContext ctx;
     EXPECT_THROW((void)exec::run(plan, backend, ctx, random_batch(3)),
                  std::invalid_argument);
     const tensor::Tensor wrong({1, 4, 8, 8});
     EXPECT_THROW((void)exec::run(plan, backend, ctx, wrong), std::invalid_argument);
-    EXPECT_THROW(exec::ExecPlan(graph, exec::PlanOptions{0, true}), std::invalid_argument);
+    EXPECT_THROW(exec::ExecPlan(graph, exec::PlanOptions{0}), std::invalid_argument);
 }
 
 TEST(ExecRunner, CapacityGrowsOnDemand) {
@@ -265,27 +304,12 @@ TEST(ExecRunner, RebindSwapsPayloadOnSharedPlan) {
     EXPECT_THROW(runner.rebind(other), std::invalid_argument);
 }
 
-TEST(ExecThreading, PoolExecutionIsBitIdentical) {
-    exec::ThreadPool pool(3);
-    const ir::Graph graph = branch_graph();
-    const auto qgraph = quantize(graph, quant::Method::M4_Aciq, {});
-    const tensor::Tensor batch = random_batch(5, 101);
-
-    exec::FloatRunner serial_f(graph, 5);
-    exec::FloatRunner parallel_f(graph, 5, &pool);
-    expect_bitwise_equal(parallel_f.run(batch), serial_f.run(batch), "float pool");
-
-    quant::QuantRunner serial_q(qgraph, 5);
-    quant::QuantRunner parallel_q(qgraph, 5, &pool);
-    expect_bitwise_equal(parallel_q.run(batch), serial_q.run(batch), "quant pool");
-}
-
 TEST(ExecThreading, ConcurrentContextReuseMatchesSerial) {
     // The serve worker-pool pattern: one immutable shared plan, one
     // (context, backend) pair per thread, each reused across many runs.
     const ir::Graph graph = branch_graph();
     const auto qgraph = quantize(graph, quant::Method::M2_MinMaxAsymmetric, {});
-    const exec::ExecPlan plan(qgraph.graph(), exec::PlanOptions{1, true});
+    const exec::ExecPlan plan(qgraph.graph(), exec::PlanOptions{1});
     constexpr int kThreads = 4;
     constexpr int kRunsPerThread = 8;
 
@@ -560,71 +584,32 @@ TEST(ExecKernels, Im2colMatchesPerElementReferenceOverGeometries) {
                         }
 }
 
-TEST(ExecThreading, LevelParallelRunsAreCountedAndBitIdentical) {
-    // The serve-fleet pattern under TSan: several threads, each with a
-    // device-private pool and its own runner, executing the same branch
-    // graph (which has multi-op dependency levels) level-parallel and
-    // concurrently. Outputs must match serial execution bit for bit and
-    // the process-wide level-parallel counters must advance.
-    const ir::Graph graph = branch_graph();
-    const auto qgraph = quantize(graph, quant::Method::M4_Aciq, {});
-    const tensor::Tensor batch = random_batch(4, 163);
-    quant::QuantRunner serial(qgraph, 4);
-    const tensor::Tensor reference = serial.run(batch);
-
-    const std::uint64_t runs_before = exec::level_parallel_runs();
-    const std::uint64_t levels_before = exec::level_parallel_levels();
-    constexpr int kThreads = 3;
-    std::vector<tensor::Tensor> outputs(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            exec::ThreadPool pool(2);  // device-private, like NpuDevice
-            quant::QuantRunner runner(qgraph, 4, &pool);
-            for (int r = 0; r < 4; ++r) outputs[static_cast<std::size_t>(t)] =
-                runner.run(batch);
-        });
-    }
-    for (auto& thread : threads) thread.join();
-    for (int t = 0; t < kThreads; ++t)
-        expect_bitwise_equal(outputs[static_cast<std::size_t>(t)], reference,
-                             "level-parallel");
-    EXPECT_GE(exec::level_parallel_runs(), runs_before + kThreads * 4);
-    EXPECT_GT(exec::level_parallel_levels(), levels_before);
-}
-
 TEST(ExecVisit, VisitsEveryTensorOnceInScheduleOrderWithOracleValues) {
     // The input first, then each op output in schedule order, each with
     // the oracle's value at visit time — before any later op reuses its
-    // arena region. A pool must not fan levels out under a visit. A fresh
-    // context per run keeps a previous run's values out of the arena.
-    exec::ThreadPool pool(2);
+    // arena region. A fresh context per run keeps a previous run's values
+    // out of the arena.
     unsigned seed = 300;
     for (const auto& graph : {chain_graph(), branch_graph()}) {
-        const exec::ExecPlan plan(graph, exec::PlanOptions{4, true});
+        const exec::ExecPlan plan(graph, exec::PlanOptions{4});
         std::vector<int> expected_order{graph.input_id()};
         for (const exec::OpStep& step : plan.schedule())
             expected_order.push_back(graph.ops()[static_cast<std::size_t>(step.op_index)].output);
         for (const int n : {1, 2, 4}) {
-            for (exec::ThreadPool* run_pool : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
-                const tensor::Tensor batch = random_batch(n, ++seed);
-                const auto reference = seedref::run_float_all(graph, batch);
-                std::vector<int> order;
-                exec::FloatBackend backend;
-                exec::ExecContext ctx;
-                exec::RunOptions options;
-                options.pool = run_pool;
-                options.visit = [&](int id, tensor::TensorView t) {
-                    order.push_back(id);
-                    expect_bitwise_equal(t, reference[static_cast<std::size_t>(id)], "visit");
-                };
-                const std::uint64_t fanned_before = exec::level_parallel_runs();
-                const tensor::Tensor out = exec::run(plan, backend, ctx, batch, options);
-                EXPECT_EQ(exec::level_parallel_runs(), fanned_before);
-                EXPECT_EQ(order, expected_order) << "n=" << n << (run_pool ? " pool" : "");
-                expect_bitwise_equal(out, reference[static_cast<std::size_t>(graph.output_id())],
-                                     "visited run output");
-            }
+            const tensor::Tensor batch = random_batch(n, ++seed);
+            const auto reference = seedref::run_float_all(graph, batch);
+            std::vector<int> order;
+            exec::FloatBackend backend;
+            exec::ExecContext ctx;
+            exec::RunOptions options;
+            options.visit = [&](int id, tensor::TensorView t) {
+                order.push_back(id);
+                expect_bitwise_equal(t, reference[static_cast<std::size_t>(id)], "visit");
+            };
+            const tensor::Tensor out = exec::run(plan, backend, ctx, batch, options);
+            EXPECT_EQ(order, expected_order) << "n=" << n;
+            expect_bitwise_equal(out, reference[static_cast<std::size_t>(graph.output_id())],
+                                 "visited run output");
         }
     }
 }

@@ -164,7 +164,8 @@ TEST(Partition, NarrowStageArrayShiftsTheInitialCut) {
     const serve::ShardPartition hetero =
         serve::make_shard_partition(g, std::vector<npu::SystolicConfig>{wide, narrow}, 2);
     ASSERT_EQ(hetero.specs.size(), 2u);
-    const serve::ShardPartition homo = serve::make_shard_partition(g, wide, 2, 2);
+    const serve::ShardPartition homo =
+        serve::make_shard_partition(g, std::vector<npu::SystolicConfig>{wide, wide}, 2);
     // The narrow stage gets less of the graph than an equal-array split.
     EXPECT_GT(hetero.specs[0].last_op, homo.specs[0].last_op);
     EXPECT_EQ(hetero.specs[0].cost, 3u * 192u);  // three convs, wide rates
@@ -275,9 +276,6 @@ TEST_F(Recut, DrainAndSwapKeepsBitIdentityUnderContinuousTraffic) {
     cfg.initial_age_step_years = aged_years;
     cfg.device.guardband_fraction = kGuardband;
     cfg.device.requant_threshold_mv = 1e9;  // isolate the re-cut from requants
-    // Re-cuts rebuild runners on devices that own execution pools; the
-    // drained-and-swapped pipeline must stay bit-identical regardless.
-    cfg.device.exec_threads = 2;
     cfg.repartition.enabled = true;
     cfg.repartition.imbalance_ratio = 1.4;
     cfg.repartition.min_batches = 2;
@@ -358,7 +356,7 @@ TEST_F(Recut, DrainAndSwapKeepsBitIdentityUnderContinuousTraffic) {
     // The re-cut moved real work off the slow device: the new cut gives
     // stage 0 (fresh clock) more cycles than the fresh-silicon balance.
     const serve::ShardPartition fresh_cut = serve::make_shard_partition(
-        *graph_, cfg.device.systolic, 2, cfg.max_batch);
+        *graph_, std::vector<npu::SystolicConfig>(2, cfg.device.systolic), cfg.max_batch);
     EXPECT_GT(group.shard_spec(0).last_op, fresh_cut.specs[0].last_op);
 
     // Each shard's version stream stays monotonic across the remap, and
@@ -499,7 +497,7 @@ TEST_F(Recut, HeterogeneousStageArraysServeBitIdenticallyOnAShiftedCut) {
     // The shared partition balanced each stage on its own array: the
     // narrow stage 1 gets less of the graph than an equal-array cut.
     const serve::ShardPartition homo = serve::make_shard_partition(
-        *graph_, npu::SystolicConfig{}, 2, cfg.max_batch);
+        *graph_, std::vector<npu::SystolicConfig>(2, npu::SystolicConfig{}), cfg.max_batch);
     const serve::ShardPartition hetero = serve::make_shard_partition(
         *graph_, cfg.shard_systolic, cfg.max_batch);
     const auto& group = server.shard_group(0);

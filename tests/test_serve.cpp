@@ -122,9 +122,6 @@ TEST_F(Serve, ConcurrentBatchedExecutionIsBitIdenticalToSerial) {
     cfg.num_devices = 4;
     cfg.num_workers = 4;
     cfg.max_batch = 8;
-    // Device-private execution pools: intra-plan level-parallelism runs
-    // UNDER the worker concurrency and must stay bit-identical.
-    cfg.device.exec_threads = 2;
     cfg.telemetry.metrics = true;
     serve::NpuServer server(context(), cfg);
 
@@ -148,13 +145,11 @@ TEST_F(Serve, ConcurrentBatchedExecutionIsBitIdenticalToSerial) {
     EXPECT_EQ(fleet.total_requants(), 0);  // nothing aged in this run
 
     // Execution-engine observability: the dispatch-tier gauge is always
-    // exported; the level-parallel counter must have counted these runs
-    // (every model here has concat/add levels that fan out).
+    // exported.
     const std::string expo = server.export_metrics();
     EXPECT_NE(expo.find("raq_exec_dispatch_tier"), std::string::npos);
     EXPECT_NE(expo.find(exec::kernels_simd::tier_name(exec::kernels_simd::active_tier())),
               std::string::npos);
-    EXPECT_NE(expo.find("raq_exec_level_parallel_runs_total"), std::string::npos);
 }
 
 TEST_F(Serve, AgingDeviceRequantizesExactlyOnce) {
@@ -481,6 +476,43 @@ TEST_F(Serve, MalformedRequestFailsItsFutureWithoutKillingTheServer) {
     auto good = server.submit(test_image(0));
     EXPECT_GE(good.get().predicted_class, 0);
     server.shutdown();
+}
+
+TEST_F(Serve, ThrowingBackgroundBuildKeepsTheDeviceServing) {
+    // A background build that throws (here quantize_graph, on calibration
+    // that no longer matches the graph) must publish like an infeasible
+    // one: the device keeps serving generation 1, the in-flight gate
+    // clears, shutdown's final catch-up build fails the same way, and the
+    // timeline records the failure.
+    constexpr int kRequests = 64;
+    quant::CalibrationData calib = *calib_;  // test-owned: broken below
+    serve::ServeContext ctx = context();
+    ctx.calib = &calib;
+    serve::ServeConfig cfg;
+    cfg.num_devices = 1;
+    cfg.num_workers = 1;
+    cfg.background_requant = true;
+    cfg.device.requant_threshold_mv = 1e-6;  // every batch boundary crosses it
+    cfg.device.age_acceleration = 1e12;
+    cfg.telemetry.metrics = true;
+    serve::NpuServer server(ctx, cfg);
+    calib.per_tensor.pop_back();  // every build from here on throws
+
+    std::vector<std::future<serve::InferenceResult>> futures;
+    futures.reserve(kRequests);
+    for (int i = 0; i < kRequests; ++i) futures.push_back(server.submit(test_image(i % 100)));
+    for (int i = 0; i < kRequests; ++i)
+        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().generation, 1u) << "request " << i;
+    server.shutdown();
+
+    const serve::DeviceStats stats = server.device(0).stats();
+    EXPECT_FALSE(stats.requant_in_flight);
+    EXPECT_EQ(stats.generation, 1u);
+    int failed_builds = 0;
+    for (const obs::ReliabilityEvent& event : server.telemetry()->timeline().snapshot())
+        if (event.kind == obs::EventKind::RequantBuild && event.detail.rfind("failed: ", 0) == 0)
+            ++failed_builds;
+    EXPECT_GE(failed_builds, 1);
 }
 
 TEST_F(Serve, SampleAccuracyRefusesAnEvalSetWithFewerLabelsThanSamples) {

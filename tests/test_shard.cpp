@@ -420,9 +420,6 @@ TEST_F(Shard, ShardGroupServingIsBitIdenticalToSingleDevice) {
     cfg.num_shards = 2;  // one pipeline group across two devices
     cfg.num_workers = 2;
     cfg.max_batch = 4;
-    // Stage devices run level-parallel on private pools; the pipeline
-    // must stay bit-identical to the serial single device.
-    cfg.device.exec_threads = 2;
     serve::NpuServer server(context(), cfg);
     ASSERT_TRUE(server.sharded());
     ASSERT_EQ(server.num_shard_groups(), 1);
