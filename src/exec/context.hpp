@@ -7,7 +7,9 @@
 // device; tests exercise one per worker thread.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -16,24 +18,51 @@ namespace raq::exec {
 
 class ExecPlan;
 
+/// Starts every buffer on a 64-byte cache line. The heap places a plain
+/// vector at any 16-byte offset within a line, and which one follows from
+/// everything the process allocated before, so the SIMD loops over the
+/// arena and the conv scratch ran at a speed that changed from one build
+/// or set-up to the next. Aligned, every process gets the same placement.
+template <typename T>
+struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    // NOLINTNEXTLINE(google-explicit-constructor): allocator rebinding converts implicitly
+    CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+    T* allocate(std::size_t n) { return static_cast<T*>(::operator new(n * sizeof(T), kAlign)); }
+    void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+
+    template <typename U>
+    bool operator==(const CacheLineAllocator<U>&) const noexcept { return true; }
+    template <typename U>
+    bool operator!=(const CacheLineAllocator<U>&) const noexcept { return false; }
+};
+
+template <typename T>
+using AlignedVector = std::vector<T, CacheLineAllocator<T>>;
+
 /// Workspace of one convolution invocation, reused by every conv of a run.
 struct ConvScratch {
     // Float conv scratch.
-    std::vector<float> columns;  ///< im2col matrix [kdim, cols]
-    std::vector<float> product;  ///< GEMM result [out_c, cols] (batched runs)
+    AlignedVector<float> columns;  ///< im2col matrix [kdim, cols]
+    AlignedVector<float> product;  ///< GEMM result [out_c, cols] (batched runs)
 
     // Quantized conv scratch.
-    std::vector<std::uint8_t> qx;          ///< quantized input activation codes
-    std::vector<std::uint8_t> u8_columns;  ///< integer im2col matrix
-    std::vector<std::int32_t> colsum;      ///< per-column activation code sums
-    std::vector<std::uint8_t> packed;      ///< column panel in the tier's layout (packed GEMM)
-    std::vector<std::uint8_t> wprep;       ///< weight matrix in the tier's layout (packed GEMM)
-    std::vector<std::int32_t> acc32;       ///< narrow accumulator tile (fast path)
-    std::vector<std::int64_t> acc64;       ///< full-width accumulator (injection/overflow-safe)
+    AlignedVector<std::uint8_t> qx;          ///< quantized input activation codes
+    AlignedVector<std::uint8_t> u8_columns;  ///< integer im2col matrix
+    AlignedVector<std::int32_t> colsum;      ///< per-column activation code sums
+    AlignedVector<std::uint8_t> packed;      ///< column panel in the tier's layout (packed GEMM)
+    AlignedVector<std::uint8_t> wprep;       ///< weight matrix in the tier's layout (packed GEMM)
+    AlignedVector<std::int32_t> acc32;       ///< narrow accumulator tile (fast path)
+    AlignedVector<std::int64_t> acc64;       ///< full-width accumulator (injection/overflow-safe)
 };
 
 struct ExecContext {
-    std::vector<float> arena;  ///< all intermediate tensors, plan-assigned offsets
+    AlignedVector<float> arena;  ///< all intermediate tensors, plan-assigned offsets
 
     /// Per-run tensor table and shape cache. Shapes are re-derived only
     /// when (plan, batch size) changes, so a serve loop with a fixed
@@ -46,8 +75,8 @@ struct ExecContext {
     ConvScratch scratch;  ///< conv workspace
 
     /// Grow-only resize: keeps steady-state runs allocation-free.
-    template <typename T>
-    static void reserve(std::vector<T>& buffer, std::size_t size) {
+    template <typename T, typename Alloc>
+    static void reserve(std::vector<T, Alloc>& buffer, std::size_t size) {
         if (buffer.size() < size) buffer.resize(size);
     }
 };

@@ -77,7 +77,7 @@ void epilogue_rows(const quant::QConv& qc, std::size_t oc, const AccT* acc,
 template <typename AccT>
 void conv_rows(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                const std::uint8_t* columns, const std::int32_t* colsum, std::size_t cols,
-               float* out, int shift, QuantExecStats* stats, std::vector<AccT>& acc,
+               float* out, int shift, QuantExecStats* stats, AlignedVector<AccT>& acc,
                std::size_t tile) {
     const std::size_t kdim = g.kdim;
     const std::size_t out_c = static_cast<std::size_t>(op.conv.out_c);
@@ -110,7 +110,7 @@ void conv_rows(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
 void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                     const std::uint8_t* columns, const std::int32_t* colsum,
                     std::size_t cols, float* out, int shift, QuantExecStats* stats,
-                    std::vector<std::int32_t>& acc, std::size_t tile,
+                    AlignedVector<std::int32_t>& acc, std::size_t tile,
                     kernels_simd::GemmU8Fn kernel, kernels_simd::EpilogueFn epi) {
     constexpr std::size_t kMr = kernels_simd::kGemmU8RowBlock;
     const std::size_t kdim = g.kdim;
@@ -140,8 +140,8 @@ void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
 void conv_rows_packed(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                       const std::uint8_t* columns, const std::uint8_t* wprep,
                       const std::int32_t* colsum, std::size_t cols, float* out,
-                      int shift, QuantExecStats* stats, std::vector<std::int32_t>& acc,
-                      std::vector<std::uint8_t>& panel, std::size_t tile,
+                      int shift, QuantExecStats* stats, AlignedVector<std::int32_t>& acc,
+                      AlignedVector<std::uint8_t>& panel, std::size_t tile,
                       const kernels_simd::PackedKernels& pk, kernels_simd::EpilogueFn epi) {
     constexpr std::size_t kMr = kernels_simd::kGemmU8RowBlock;
     const std::size_t kdim = g.kdim;

@@ -226,6 +226,39 @@ TEST(ExecPlan, ArenaAliasesDeadIntermediatesSafely) {
                          "arena");
 }
 
+TEST(ExecContext, BuffersStartOnACacheLine) {
+    // The arena and every conv workspace a run touched start on a 64-byte
+    // line, wherever the heap would have put a plain vector.
+    const auto on_line = [](const void* p) {
+        return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+    };
+    const auto qgraph = quantize(branch_graph(), quant::Method::M4_Aciq, quant::QuantConfig{});
+    const exec::ExecPlan qplan(qgraph.graph(), exec::PlanOptions{2});
+    exec::QuantBackend qbackend(qgraph);
+    exec::ExecContext qctx;
+    (void)exec::run(qplan, qbackend, qctx, random_batch(2, 5));
+    const exec::ConvScratch& q = qctx.scratch;
+    EXPECT_TRUE(on_line(qctx.arena.data()));
+    EXPECT_TRUE(on_line(q.qx.data()));
+    EXPECT_TRUE(on_line(q.u8_columns.data()));
+    EXPECT_TRUE(on_line(q.colsum.data()));
+    EXPECT_TRUE(on_line(q.acc32.data()));
+    EXPECT_TRUE(on_line(q.acc64.data()));
+    if (!q.packed.empty()) {  // the packed GEMM tiers only
+        EXPECT_TRUE(on_line(q.packed.data()));
+        EXPECT_TRUE(on_line(q.wprep.data()));
+    }
+
+    const ir::Graph graph = branch_graph();
+    const exec::ExecPlan fplan(graph, exec::PlanOptions{2});
+    exec::FloatBackend fbackend;
+    exec::ExecContext fctx;
+    (void)exec::run(fplan, fbackend, fctx, random_batch(2, 5));
+    EXPECT_TRUE(on_line(fctx.arena.data()));
+    EXPECT_TRUE(on_line(fctx.scratch.columns.data()));
+    EXPECT_TRUE(on_line(fctx.scratch.product.data()));
+}
+
 TEST(ExecPlan, ArenaNeverOverlapsLiveTensorsOnEveryZooTopology) {
     // The one arena rule: a tensor owns its region from its producer op
     // through its last consumer (the graph output through the end of the
