@@ -150,10 +150,13 @@ void BM_GemmU8Packed(benchmark::State& state, exec::kernels_simd::KernelTier tie
 }
 
 void BM_Im2colU8(benchmark::State& state) {
-    // 3×3, pad-1 input of shape [n, c, hw, hw] (Args below).
+    // 3×3, pad-1 (shift path) channel-major input of shape [n, c, hw, hw]
+    // (Args below).
     const int hw = static_cast<int>(state.range(2));
     const tensor::Shape s{static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
                           hw, hw};
+    const ir::ConvAttrs conv{s.c, 1, 3, 3, 1, 1};
+    const exec::ConvGeom geom = exec::make_conv_geom(conv, s);
     const std::size_t rows = static_cast<std::size_t>(s.c) * 3 * 3;
     const std::size_t cols = static_cast<std::size_t>(s.n) * static_cast<std::size_t>(hw * hw);
     std::vector<std::uint8_t> qx(s.size());
@@ -161,7 +164,7 @@ void BM_Im2colU8(benchmark::State& state) {
     common::Rng rng(11);
     for (auto& v : qx) v = static_cast<std::uint8_t>(rng.next_u64());
     for (auto _ : state) {
-        exec::kernels::im2col_u8(qx.data(), s, 3, 3, 1, 1, columns.data(), hw, hw, true);
+        exec::kernels::im2col_u8(qx.data(), s, conv, geom, columns.data(), nullptr);
         benchmark::DoNotOptimize(columns.data());
         benchmark::ClobberMemory();
     }

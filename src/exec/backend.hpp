@@ -13,6 +13,7 @@ namespace raq::exec {
 
 /// Per-convolution invocation view assembled by the engine: the op, its
 /// plan geometry, and raw input/output buffers with this run's shapes.
+/// Both buffers are channel-major, [C][N][H][W] (see context.hpp).
 struct ConvCall {
     int op_index = 0;
     const ir::Op* op = nullptr;

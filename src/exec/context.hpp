@@ -5,10 +5,18 @@
 // runs: the plan is the shared immutable half, the context the private
 // mutable half. The serve runtime keeps one long-lived context per
 // device; tests exercise one per worker thread.
+//
+// Every tensor in the arena is channel-major, [C][N][H][W]; callers see
+// NCHW. At n = 1 the two are the same bytes. For n > 1 the engine
+// transposes the batch into `input`, each visited tensor into `visit`,
+// and the result out to NCHW.
 #pragma once
+
+#include <sys/mman.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -28,10 +36,19 @@ class ExecPlan;
 /// operator new (memalign) fragmented the heap instead: with a fresh
 /// context per call, as quant::run_quantized makes, and small results
 /// kept alive between calls, the process grew ~1.7 KB a call.
+///
+/// Blocks of kMmapBytes or more (glibc's default mmap threshold) come
+/// straight from mmap, page-aligned, and go back with munmap. Through
+/// malloc, freeing such a block (a capacity-100 arena is 3–6 MB) raises
+/// glibc's dynamic mmap threshold, later blocks of that size come from
+/// the brk heap, and the process kept ~4 MiB more from then on: whether
+/// it did depended on the order of earlier frees, so peak RSS was
+/// bimodal from run to run.
 template <typename T>
 struct CacheLineAllocator {
     using value_type = T;
     static constexpr std::size_t kLine = 64;
+    static constexpr std::size_t kMmapBytes = 128 * 1024;
 
     CacheLineAllocator() = default;
     template <typename U>
@@ -39,6 +56,12 @@ struct CacheLineAllocator {
     CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
 
     T* allocate(std::size_t n) {
+        if (n * sizeof(T) >= kMmapBytes) {
+            void* block = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (block == MAP_FAILED) throw std::bad_alloc();
+            return static_cast<T*>(block);
+        }
         // operator new aligns a block to at least alignof(std::max_align_t),
         // so the start lies at least that far above it: room for the
         // block's address just below the start.
@@ -48,8 +71,11 @@ struct CacheLineAllocator {
         reinterpret_cast<void**>(start)[-1] = block;
         return reinterpret_cast<T*>(start);
     }
-    void deallocate(T* p, std::size_t) noexcept {
-        ::operator delete(reinterpret_cast<void**>(p)[-1]);
+    void deallocate(T* p, std::size_t n) noexcept {
+        if (n * sizeof(T) >= kMmapBytes)
+            ::munmap(p, n * sizeof(T));
+        else
+            ::operator delete(reinterpret_cast<void**>(p)[-1]);
     }
 
     template <typename U>
@@ -65,11 +91,12 @@ using AlignedVector = std::vector<T, CacheLineAllocator<T>>;
 struct ConvScratch {
     // Float conv scratch.
     AlignedVector<float> columns;  ///< im2col matrix [kdim, cols]
-    AlignedVector<float> product;  ///< GEMM result [out_c, cols] (batched runs)
+    AlignedVector<float> phases;   ///< one channel's phase planes (strided convs)
 
     // Quantized conv scratch.
     AlignedVector<std::uint8_t> qx;          ///< quantized input activation codes
     AlignedVector<std::uint8_t> u8_columns;  ///< integer im2col matrix
+    AlignedVector<std::uint8_t> u8_phases;   ///< one channel's phase planes (strided convs)
     AlignedVector<std::int32_t> colsum;      ///< per-column activation code sums
     AlignedVector<std::uint8_t> packed;      ///< column panel in the tier's layout (packed GEMM)
     AlignedVector<std::uint8_t> wprep;       ///< weight matrix in the tier's layout (packed GEMM)
@@ -79,6 +106,8 @@ struct ConvScratch {
 
 struct ExecContext {
     AlignedVector<float> arena;  ///< all intermediate tensors, plan-assigned offsets
+    AlignedVector<float> input;  ///< the batch, channel-major (runs with n > 1)
+    AlignedVector<float> visit;  ///< a visited tensor, NCHW (visited runs with n > 1)
 
     /// Per-run tensor table and shape cache. Shapes are re-derived only
     /// when (plan, batch size) changes, so a serve loop with a fixed

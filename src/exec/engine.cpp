@@ -8,6 +8,14 @@
 
 namespace raq::exec {
 
+namespace {
+
+std::size_t plane_size(const tensor::Shape& s) {
+    return static_cast<std::size_t>(s.h) * static_cast<std::size_t>(s.w);
+}
+
+}  // namespace
+
 tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                    tensor::TensorView batch, const RunOptions& options) {
     const ir::Graph& graph = plan.graph();
@@ -28,12 +36,21 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
     ExecContext::reserve(ctx.arena, plan.arena_floats());
     backend.prepare(plan, ctx);
 
-    // Tensor id -> buffer. The input is read in place from the caller's
-    // view; everything else lives at its plan-assigned arena offset.
-    // assign() reuses the vector's storage after the first run.
+    // Tensor id -> buffer. Every tensor is channel-major, [C][N][H][W];
+    // at n = 1 that is NCHW, so the input is read in place from the
+    // caller's view. Larger batches are transposed into ctx.input first.
+    // Everything else lives at its plan-assigned arena offset. assign()
+    // reuses the vector's storage after the first run.
     ctx.buffers.assign(static_cast<std::size_t>(graph.num_tensors()), nullptr);
     std::vector<const float*>& buffers = ctx.buffers;
-    buffers[static_cast<std::size_t>(graph.input_id())] = batch.data;
+    const float* input = batch.data;
+    if (n > 1) {
+        ExecContext::reserve(ctx.input, batch.size());
+        kernels::transpose_planes(batch.data, n, batch.shape.c, plane_size(batch.shape),
+                                  ctx.input.data());
+        input = ctx.input.data();
+    }
+    buffers[static_cast<std::size_t>(graph.input_id())] = input;
     if (options.visit) options.visit(graph.input_id(), batch);
 
     // Per-level profiling sums each op's host time into its level and
@@ -99,7 +116,16 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                 std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
                                                           op_start)
                     .count();
-        if (options.visit) options.visit(op.output, tensor::TensorView(out, out_shape));
+        if (options.visit) {
+            const float* nchw = out;
+            if (n > 1) {
+                ExecContext::reserve(ctx.visit, out_shape.size());
+                kernels::transpose_planes(out, out_shape.c, n, plane_size(out_shape),
+                                          ctx.visit.data());
+                nchw = ctx.visit.data();
+            }
+            options.visit(op.output, tensor::TensorView(nchw, out_shape));
+        }
     }
     if (timed)
         for (std::size_t level = 0; level < level_us.size(); ++level)
@@ -109,7 +135,10 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
     const tensor::Shape& out_shape = shapes[static_cast<std::size_t>(out_id)];
     tensor::Tensor result(out_shape);
     const float* src = buffers[static_cast<std::size_t>(out_id)];
-    std::copy(src, src + out_shape.size(), result.data());
+    if (n > 1)
+        kernels::transpose_planes(src, out_shape.c, n, plane_size(out_shape), result.data());
+    else
+        std::copy(src, src + out_shape.size(), result.data());
     return result;
 }
 

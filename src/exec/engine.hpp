@@ -27,7 +27,9 @@ using LevelTimingHook = std::function<void(int level, double host_us)>;
 /// Optional per-tensor visit, called on the calling thread: first with
 /// the input, then with each op's output in schedule order, right after
 /// that op runs and before any later op can reuse its arena region. The
-/// view is valid only for the duration of the call.
+/// view is NCHW, like the batch and the result (for n > 1 it is a copy
+/// of the channel-major arena tensor), and valid only for the duration of
+/// the call.
 using TensorVisit = std::function<void(int tensor_id, tensor::TensorView tensor)>;
 
 struct RunOptions {
@@ -36,8 +38,10 @@ struct RunOptions {
 };
 
 /// Execute `plan` with `backend` on `batch` (1 ≤ n ≤ plan capacity).
-/// Returns the graph-output tensor. The batch is read in place (zero-copy
-/// for Tensor::batch_view slices).
+/// Returns the graph-output tensor, NCHW. Inside the run every tensor is
+/// channel-major, [C][N][H][W]: at n = 1 the batch is read in place
+/// (zero-copy for Tensor::batch_view slices); a larger batch is
+/// transposed into the context first, and the result transposed back.
 [[nodiscard]] tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                                  tensor::TensorView batch, const RunOptions& options = {});
 

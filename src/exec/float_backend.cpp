@@ -1,7 +1,5 @@
 #include "exec/backend.hpp"
 
-#include <cstring>
-
 #include "exec/kernels.hpp"
 #include "tensor/gemm.hpp"
 
@@ -9,7 +7,7 @@ namespace raq::exec {
 
 void FloatBackend::prepare(const ExecPlan& plan, ExecContext& ctx) const {
     ExecContext::reserve(ctx.scratch.columns, plan.max_columns());
-    ExecContext::reserve(ctx.scratch.product, plan.max_product_floats());
+    ExecContext::reserve(ctx.scratch.phases, plan.max_phase_elems());
 }
 
 void FloatBackend::conv(const ConvCall& call, ExecContext& ctx) {
@@ -20,35 +18,20 @@ void FloatBackend::conv(const ConvCall& call, ExecContext& ctx) {
     const std::size_t cols = static_cast<std::size_t>(s.n) * g.hw;
     const std::size_t out_c = static_cast<std::size_t>(op.conv.out_c);
 
-    ExecContext::reserve(scr.columns, g.kdim * cols);
-    kernels::im2col(call.in, s, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad,
-                    scr.columns.data(), g.oh, g.ow, g.zero_columns);
+    if (g.path != Im2colPath::Direct) ExecContext::reserve(scr.columns, g.kdim * cols);
+    ExecContext::reserve(scr.phases, g.phase_elems(cols));
+    const float* columns =
+        kernels::im2col(call.in, s, op.conv, g, scr.columns.data(), scr.phases.data());
 
-    if (s.n == 1) {
-        // Single-sample fast path: the [oc, cols] GEMM result already is
-        // the (1, oc, oh, ow) output layout — GEMM straight into the
-        // output buffer, then the bias in place. Same float ops as the
-        // product-buffer path, so still bit-identical.
-        tensor::gemm(op.weights.data(), scr.columns.data(), call.out, out_c, g.kdim, cols);
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-            const float b = op.bias[oc];
-            float* row = call.out + oc * g.hw;
-            for (std::size_t i = 0; i < g.hw; ++i) row[i] += b;
-        }
-        return;
+    // The [oc, cols] GEMM result already is the channel-major output
+    // [oc][n][oh][ow]: GEMM straight into the output, then the bias in
+    // place — each output the same product-plus-bias as the seed's.
+    tensor::gemm(op.weights.data(), columns, call.out, out_c, g.kdim, cols);
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        const float b = op.bias[oc];
+        float* row = call.out + oc * cols;
+        for (std::size_t i = 0; i < cols; ++i) row[i] += b;
     }
-
-    ExecContext::reserve(scr.product, out_c * cols);
-    // product is [oc, n*oh*ow]; output layout is [n, oc, oh, ow].
-    tensor::gemm(op.weights.data(), scr.columns.data(), scr.product.data(), out_c, g.kdim,
-                 cols);
-    for (int n = 0; n < s.n; ++n)
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-            const float b = op.bias[oc];
-            const float* src = scr.product.data() + oc * cols + static_cast<std::size_t>(n) * g.hw;
-            float* dst = call.out + (static_cast<std::size_t>(n) * out_c + oc) * g.hw;
-            for (std::size_t i = 0; i < g.hw; ++i) dst[i] = src[i] + b;
-        }
 }
 
 }  // namespace raq::exec

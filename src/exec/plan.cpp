@@ -76,7 +76,79 @@ std::size_t gemm_tile_cols(std::size_t kdim, std::size_t cols_cap) {
     return std::min(cols_cap, std::max<std::size_t>(512, tile));
 }
 
+/// Shortest mask period, in slots: masks of planes smaller than this
+/// repeat over several planes, so the masked copy is not a chain of short
+/// loops on 4×4 and smaller planes.
+constexpr std::size_t kMaskMinLen = 64;
+
 }  // namespace
+
+ConvGeom make_conv_geom(const ir::ConvAttrs& conv, const tensor::Shape& in) {
+    ConvGeom g;
+    g.oh = tensor::conv_out_dim(in.h, conv.kh, conv.stride, conv.pad);
+    g.ow = tensor::conv_out_dim(in.w, conv.kw, conv.stride, conv.pad);
+    g.kdim = static_cast<std::size_t>(conv.in_c) * static_cast<std::size_t>(conv.kh) *
+             static_cast<std::size_t>(conv.kw);
+    g.hw = static_cast<std::size_t>(g.oh) * static_cast<std::size_t>(g.ow);
+    g.cols_cap = static_cast<std::size_t>(in.n) * g.hw;
+    g.in_floats_cap = in.size();
+    g.tile_cols = gemm_tile_cols(g.kdim, g.cols_cap);
+    // Worst-case |acc| for unsigned 8-bit codes: kdim * 255 * 255.
+    g.acc32_safe = g.kdim <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) /
+                                 (255u * 255u);
+    const int s = conv.stride;
+    if (conv.kh == 1 && conv.kw == 1 && s == 1 && conv.pad == 0) {
+        g.path = Im2colPath::Direct;
+        return g;
+    }
+    if (s == 1 && g.oh == in.h && g.ow == in.w) {
+        g.path = Im2colPath::Shift;
+    } else if (s == 2 && in.h == 2 * g.oh && in.w == 2 * g.ow) {
+        g.path = Im2colPath::Phase;
+    } else {
+        g.zero_columns = conv.pad > 0;  // Gather
+        return g;
+    }
+
+    // Tap (ky, kx) reads input (oy·s + ry, ox·s + rx) with ry = ky − pad,
+    // rx = kx − pad. Writing ry = s·dy + py with py ∈ [0, s) (and rx
+    // alike), that is element (oy + dy, ox + dx) of phase plane (py, px):
+    // the plane of input pixels (s·a + py, s·b + px), laid out oh × ow
+    // like the output (at s = 1 the input itself). Both paths' geometry
+    // keeps every in-bounds read inside the plane (a = oy + dy < oh), so
+    // the tap is one flat shift dy·ow + dx of the phase block, with the
+    // out-of-bounds reads masked.
+    const std::size_t taps = static_cast<std::size_t>(conv.kh) * static_cast<std::size_t>(conv.kw);
+    const std::size_t reps = std::min<std::size_t>(
+        static_cast<std::size_t>(in.n), std::max<std::size_t>(1, (kMaskMinLen + g.hw - 1) / g.hw));
+    g.mask_len = reps * g.hw;
+    g.taps.resize(taps);
+    g.mask.assign(taps * g.mask_len, 0);
+    for (int ky = 0; ky < conv.kh; ++ky)
+        for (int kx = 0; kx < conv.kw; ++kx) {
+            const std::size_t t = static_cast<std::size_t>(ky * conv.kw + kx);
+            const int ry = ky - conv.pad, rx = kx - conv.pad;
+            const int py = ((ry % s) + s) % s, px = ((rx % s) + s) % s;
+            ConvTap& tap = g.taps[t];
+            tap.shift = static_cast<std::ptrdiff_t>((ry - py) / s) * g.ow + (rx - px) / s;
+            tap.phase = py * s + px;
+            tap.full = true;
+            std::uint8_t* mask = g.mask.data() + t * g.mask_len;
+            for (int oy = 0; oy < g.oh; ++oy)
+                for (int ox = 0; ox < g.ow; ++ox) {
+                    const int iy = oy * s + ry, ix = ox * s + rx;
+                    if (iy < 0 || iy >= in.h || ix < 0 || ix >= in.w) {
+                        tap.full = false;
+                        continue;
+                    }
+                    tap.valid = true;
+                    mask[oy * g.ow + ox] = 0xFF;
+                }
+            for (std::size_t r = 1; r < reps; ++r)
+                std::copy(mask, mask + g.hw, mask + r * g.hw);
+        }
+    return g;
+}
 
 ExecPlan::ExecPlan(const ir::Graph& graph, PlanOptions options)
     : ExecPlan(std::make_shared<const ir::Graph>(graph), options) {}
@@ -143,29 +215,12 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const ir::Op& op = ops[i];
         if (op.kind != ir::OpKind::Conv2d) continue;
-        const tensor::Shape& in = shapes[static_cast<std::size_t>(op.inputs.at(0))];
-        const tensor::Shape& out = shapes[static_cast<std::size_t>(op.output)];
-        ConvGeom g;
-        g.oh = out.h;
-        g.ow = out.w;
-        g.kdim = static_cast<std::size_t>(op.conv.in_c) * static_cast<std::size_t>(op.conv.kh) *
-                 static_cast<std::size_t>(op.conv.kw);
-        g.hw = static_cast<std::size_t>(out.h) * static_cast<std::size_t>(out.w);
-        g.cols_cap = static_cast<std::size_t>(options_.batch_capacity) * g.hw;
-        g.in_floats_cap = in.size();
-        g.zero_columns = op.conv.pad > 0;
-        g.tile_cols = gemm_tile_cols(g.kdim, g.cols_cap);
-        // Worst-case |acc| for unsigned 8-bit codes: kdim * 255 * 255.
-        g.acc32_safe = g.kdim <= static_cast<std::size_t>(
-                                     std::numeric_limits<std::int32_t>::max()) /
-                                     (255u * 255u);
-        conv_geom_[i] = g;
-
+        ConvGeom& g = conv_geom_[i] =
+            make_conv_geom(op.conv, shapes[static_cast<std::size_t>(op.inputs.at(0))]);
         max_tile_cols_ = std::max(max_tile_cols_, g.tile_cols);
-        max_columns_ = std::max(max_columns_, g.kdim * g.cols_cap);
-        max_product_floats_ =
-            std::max(max_product_floats_,
-                     static_cast<std::size_t>(op.conv.out_c) * g.cols_cap);
+        if (g.path != Im2colPath::Direct)
+            max_columns_ = std::max(max_columns_, g.kdim * g.cols_cap);
+        max_phase_elems_ = std::max(max_phase_elems_, g.phase_elems(g.cols_cap));
         max_conv_in_floats_ = std::max(max_conv_in_floats_, g.in_floats_cap);
         max_cols_ = std::max(max_cols_, g.cols_cap);
     }

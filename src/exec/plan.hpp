@@ -17,8 +17,8 @@
 //    op's output is allocated before its dying inputs are released, and a
 //    freed region is reusable from the next op on,
 //  - per-convolution geometry (output dims, im2col extents, whether the
-//    integer accumulator fits 32 bits, whether column buffers need
-//    pre-zeroing for padding).
+//    integer accumulator fits 32 bits, the im2col path and its per-tap
+//    shifts and masks).
 //
 // A plan is immutable after construction and can be shared by any number
 // of concurrent executions, each with its own ExecContext.
@@ -40,6 +40,28 @@ struct PlanOptions {
     int batch_capacity = 1;
 };
 
+/// How a conv builds its column matrix from the channel-major input
+/// (see kernels::im2col).
+enum class Im2colPath : std::uint8_t {
+    Direct,  ///< 1×1, stride 1, pad 0: the input block is the column matrix
+    Shift,   ///< stride 1, "same" output: each tap a shifted, masked copy
+             ///< of the channel block
+    Phase,   ///< stride 2, output halving the input (resnet's 3×3 s2 p1 and
+             ///< 1×1 s2 p0): each channel split once into 4 phase planes,
+             ///< each tap a shifted, masked copy of one phase
+    Gather,  ///< any other geometry: per-row gather
+};
+
+/// One kernel tap (ky, kx) of a Shift or Phase conv.
+struct ConvTap {
+    /// Source offset of column j within the (phase) channel block:
+    /// column j reads element j + shift.
+    std::ptrdiff_t shift = 0;
+    int phase = 0;       ///< phase plane 2·py + px (Phase path)
+    bool valid = false;  ///< some output reads an in-bounds pixel
+    bool full = false;   ///< every output does (then shift is 0: a plain copy)
+};
+
 /// Precomputed geometry of one convolution, sized at batch capacity.
 struct ConvGeom {
     int oh = 0, ow = 0;
@@ -48,9 +70,33 @@ struct ConvGeom {
     std::size_t cols_cap = 0;  ///< batch_capacity * oh * ow (GEMM columns)
     std::size_t in_floats_cap = 0;  ///< input tensor size at capacity
     std::size_t tile_cols = 0; ///< column-tile length of the integer GEMM
-    bool zero_columns = false; ///< pad > 0: padded column slots must be zeroed
+    bool zero_columns = false; ///< Gather path with pad > 0: padded slots must be zeroed
     bool acc32_safe = false;   ///< kdim * 255 * 255 fits an int32 accumulator
+    Im2colPath path = Im2colPath::Gather;
+    std::vector<ConvTap> taps;  ///< kh·kw, ky-major (Shift and Phase paths)
+    /// Mask period: whole output planes, at least 64 slots when the
+    /// capacity allows, so the masked copy runs long loops on small planes.
+    std::size_t mask_len = 0;
+    /// [tap][mask_len]: 0xFF where the tap reads an in-bounds pixel, else
+    /// 0. Column j of a tap's row is masked by mask[j % mask_len].
+    std::vector<std::uint8_t> mask;
+
+    /// Phase path with one unshifted tap (a 1×1 strided conv): the phase
+    /// split writes the column row itself.
+    [[nodiscard]] bool split_into_columns() const {
+        return path == Im2colPath::Phase && taps.size() == 1 && taps[0].shift == 0;
+    }
+    /// Phase-split scratch, in elements, for `cols` GEMM columns: the 4
+    /// phase planes, then the input rows of one row phase.
+    [[nodiscard]] std::size_t phase_elems(std::size_t cols) const {
+        if (path != Im2colPath::Phase) return 0;
+        return (split_into_columns() ? 0 : 4 * cols) + 2 * cols;
+    }
 };
+
+/// Geometry of `conv` over an input of shape `in` (n = batch capacity).
+/// ExecPlan computes one per conv at compile time.
+[[nodiscard]] ConvGeom make_conv_geom(const ir::ConvAttrs& conv, const tensor::Shape& in);
 
 /// One scheduled op: index into graph().ops() plus its dependency level.
 struct OpStep {
@@ -100,10 +146,11 @@ public:
     }
 
     /// Worst-case conv scratch requirements at capacity, for ExecContext
-    /// pre-sizing (float path: im2col columns + GEMM product; quantized
-    /// path: activation codes + u8 columns + colsum/accumulators).
+    /// pre-sizing (float path: im2col columns; quantized path: activation
+    /// codes + u8 columns + colsum/accumulators; both: phase planes).
+    /// Direct convs need no column matrix, so they do not count here.
     [[nodiscard]] std::size_t max_columns() const { return max_columns_; }
-    [[nodiscard]] std::size_t max_product_floats() const { return max_product_floats_; }
+    [[nodiscard]] std::size_t max_phase_elems() const { return max_phase_elems_; }
     [[nodiscard]] std::size_t max_conv_in_floats() const { return max_conv_in_floats_; }
     [[nodiscard]] std::size_t max_cols() const { return max_cols_; }
     /// Largest ConvGeom::tile_cols of any conv — accumulator tiles sized
@@ -123,7 +170,7 @@ private:
     std::size_t arena_floats_ = 0;
     std::size_t total_tensor_floats_ = 0;
     std::size_t max_columns_ = 0;
-    std::size_t max_product_floats_ = 0;
+    std::size_t max_phase_elems_ = 0;
     std::size_t max_conv_in_floats_ = 0;
     std::size_t max_cols_ = 0;
     std::size_t max_tile_cols_ = 0;

@@ -11,17 +11,19 @@ namespace raq::exec {
 
 namespace {
 
-/// Shared zero-point/bias/stats epilogue: turn raw accumulators for
-/// columns [j0, j0 + jn) of channel `oc` into output activations in NCHW
-/// (identical for the tiled fast path and the seed-order injection path).
-/// With a vector epilogue kernel and no stats attached, the i32 fast path
-/// runs it over each contiguous NCHW segment — same bits, see EpilogueFn.
-/// Accumulators of weights offset by `w_offset` (the packed pipeline's
-/// Σ a·(w − w_offset)) correct with zw − w_offset: the same integers.
+/// Shared zero-point/bias/stats epilogue: turn the raw accumulators of
+/// `n` consecutive columns of channel `oc` into output activations at
+/// `out` (identical for the tiled fast path and the seed-order injection
+/// path). The output is channel-major, so row oc of the GEMM is one
+/// contiguous segment of it: callers pass `colsum` and `out` already
+/// offset to the first column. With a vector epilogue kernel and no
+/// stats attached, the i32 fast path runs it over the whole segment —
+/// same bits, see EpilogueFn. Accumulators of weights offset by
+/// `w_offset` (the packed pipeline's Σ a·(w − w_offset)) correct with
+/// zw − w_offset: the same integers.
 template <typename AccT>
 void epilogue_rows(const quant::QConv& qc, std::size_t oc, const AccT* acc,
-                   const std::int32_t* colsum, std::size_t j0, std::size_t jn,
-                   std::size_t hw, std::size_t out_c, float* out, int shift,
+                   const std::int32_t* colsum, std::size_t n, float* out, int shift,
                    QuantExecStats* stats, kernels_simd::EpilogueFn epi = nullptr,
                    std::int32_t w_offset = 0) {
     const quant::QuantParams& wq = qc.wq(static_cast<int>(oc));
@@ -35,23 +37,13 @@ void epilogue_rows(const quant::QConv& qc, std::size_t oc, const AccT* acc,
         // scalar loop rather than silently off-by-one).
         constexpr std::int64_t kQbExactBound = (std::int64_t{1} << 52) - (std::int64_t{1} << 33);
         if (epi != nullptr && stats == nullptr && qb < kQbExactBound && qb > -kQbExactBound) {
-            std::size_t j = 0;
-            while (j < jn) {
-                const std::size_t jj = j0 + j;
-                const std::size_t n = jj / hw;
-                const std::size_t pos = jj % hw;
-                const std::size_t seg = std::min(jn - j, hw - pos);
-                epi(acc + j, colsum + jj, seg, zw, qb, scale,
-                    out + (n * out_c + oc) * hw + pos);
-                j += seg;
-            }
+            epi(acc, colsum, n, zw, qb, scale, out);
             return;
         }
     }
-    for (std::size_t j = 0; j < jn; ++j) {
-        const std::size_t jj = j0 + j;
+    for (std::size_t j = 0; j < n; ++j) {
         const std::int64_t corrected = static_cast<std::int64_t>(acc[j]) -
-                                       static_cast<std::int64_t>(zw) * colsum[jj] + qb;
+                                       static_cast<std::int64_t>(zw) * colsum[j] + qb;
         if (stats) {
             // Accumulator occupancy in the shifted hardware domain
             // (22-bit register of the paper's MAC). Shift the
@@ -60,10 +52,7 @@ void epilogue_rows(const quant::QConv& qc, std::size_t oc, const AccT* acc,
             stats->max_abs_accumulator = std::max(stats->max_abs_accumulator, mag);
             if (mag >= (std::int64_t{1} << 22)) ++stats->accumulator_overflows;
         }
-        // Map [oc, col] back to NCHW.
-        const std::size_t n = jj / hw;
-        const std::size_t pos = jj % hw;
-        out[(n * out_c + oc) * hw + pos] = static_cast<float>(corrected) * scale;
+        out[j] = static_cast<float>(corrected) * scale;
     }
 }
 
@@ -95,7 +84,7 @@ void conv_rows(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
                 for (std::size_t j = 0; j < jn; ++j)
                     acc[j] += static_cast<AccT>(w * static_cast<std::int32_t>(crow[j]));
             }
-            epilogue_rows(qc, oc, acc.data(), colsum, j0, jn, g.hw, out_c, out, shift,
+            epilogue_rows(qc, oc, acc.data(), colsum + j0, jn, out + oc * cols + j0, shift,
                           stats);
         }
     }
@@ -124,8 +113,8 @@ void conv_rows_simd(const ir::Op& op, const quant::QConv& qc, const ConvGeom& g,
             kernel(qc.qweights.data() + oc * kdim, kdim, mr, columns + j0, cols, kdim,
                    jn, acc.data(), tile);
             for (std::size_t r = 0; r < mr; ++r)
-                epilogue_rows(qc, oc + r, acc.data() + r * tile, colsum, j0, jn, g.hw,
-                              out_c, out, shift, stats, epi);
+                epilogue_rows(qc, oc + r, acc.data() + r * tile, colsum + j0, jn,
+                              out + (oc + r) * cols + j0, shift, stats, epi);
         }
     }
     if (stats) stats->mac_count += kdim * cols * out_c;
@@ -170,8 +159,8 @@ void conv_rows_packed(const ir::Op& op, const quant::QConv& qc, const ConvGeom& 
                                static_cast<std::int32_t>(columns[k * cols + j0 + j]);
                     acc[r * tile + j] = sum;
                 }
-                epilogue_rows(qc, oc + r, acc.data() + r * tile, colsum, j0, jn, g.hw,
-                              out_c, out, shift, stats, epi, pk.w_offset);
+                epilogue_rows(qc, oc + r, acc.data() + r * tile, colsum + j0, jn,
+                              out + (oc + r) * cols + j0, shift, stats, epi, pk.w_offset);
             }
         }
     }
@@ -184,6 +173,7 @@ void QuantBackend::prepare(const ExecPlan& plan, ExecContext& ctx) const {
     ConvScratch& scr = ctx.scratch;
     ExecContext::reserve(scr.qx, plan.max_conv_in_floats());
     ExecContext::reserve(scr.u8_columns, plan.max_columns());
+    ExecContext::reserve(scr.u8_phases, plan.max_phase_elems());
     ExecContext::reserve(scr.colsum, plan.max_cols());
     ExecContext::reserve(scr.acc64, plan.max_cols());
     // Sized for the SIMD row block up front, so the per-call reserve in
@@ -216,10 +206,10 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
         for (std::size_t i = 0; i < in_size; ++i)
             scr.qx[i] = static_cast<std::uint8_t>(qc.act.quantize(call.in[i])) & act_mask;
 
-    ExecContext::reserve(scr.u8_columns, g.kdim * cols);
-    kernels::im2col_u8(scr.qx.data(), s, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad,
-                       scr.u8_columns.data(), g.oh, g.ow, g.zero_columns);
-    const std::uint8_t* columns = scr.u8_columns.data();
+    if (g.path != Im2colPath::Direct) ExecContext::reserve(scr.u8_columns, g.kdim * cols);
+    ExecContext::reserve(scr.u8_phases, g.phase_elems(cols));
+    const std::uint8_t* columns = kernels::im2col_u8(scr.qx.data(), s, op.conv, g,
+                                                     scr.u8_columns.data(), scr.u8_phases.data());
 
     // Per-column activation code sums for the zero-point correction
     // (exact integer reduction — the vector kernel is bit-identical).
@@ -263,8 +253,8 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
                 }
             }
             if (stats_) stats_->mac_count += g.kdim * cols;
-            epilogue_rows(qc, oc, scr.acc64.data(), scr.colsum.data(), 0, cols, g.hw,
-                          out_c, call.out, shift, stats_);
+            epilogue_rows(qc, oc, scr.acc64.data(), scr.colsum.data(), cols,
+                          call.out + oc * cols, shift, stats_);
         }
         if (stats_) stats_->flips = injector_->flips_injected();
         return;

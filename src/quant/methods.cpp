@@ -156,33 +156,61 @@ double calib_loss(const tensor::Tensor& logits, const CalibrationData& calib) {
     return total / static_cast<double>(s.n);
 }
 
+/// The multiplier-free half of LAPQ's clips for one conv: the ACIQ
+/// activation clip of its input, and each output channel's weight stats
+/// and ACIQ Laplace clip. Every probe scales these same numbers.
+struct AciqClips {
+    double act_clip = 0.0;
+    std::vector<TensorStats> weight_stats;  ///< per output channel
+    std::vector<double> weight_clip;        ///< per output channel
+};
+
+/// AciqClips per op (empty for non-conv ops), once per LAPQ search.
+std::vector<AciqClips> aciq_clips(const ir::Graph& graph, const QuantConfig& config,
+                                  const CalibrationData& calib) {
+    const auto& ops = graph.ops();
+    std::vector<AciqClips> clips(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const ir::Op& op = ops[i];
+        if (op.kind != ir::OpKind::Conv2d) continue;
+        AciqClips& c = clips[i];
+        c.act_clip = aciq_activation_clip(
+            calib.per_tensor[static_cast<std::size_t>(op.inputs[0])], config.act_bits);
+        const std::size_t kdim = op.weights.size() / static_cast<std::size_t>(op.conv.out_c);
+        for (int oc = 0; oc < op.conv.out_c; ++oc) {
+            const float* row = op.weights.data() + static_cast<std::size_t>(oc) * kdim;
+            const TensorStats s = compute_stats(row, kdim);
+            c.weight_stats.push_back(s);
+            c.weight_clip.push_back(
+                aciq_laplace_clip(std::max(1e-7, (double)s.abs_dev), config.weight_bits));
+        }
+    }
+    return clips;
+}
+
 /// Build a quantized graph where all clips are ACIQ clips scaled by
 /// (act_mult, weight_mult) — the parameterization LAPQ searches over.
 QuantizedGraph build_scaled(const ir::Graph& graph, const QuantConfig& config,
-                            const CalibrationData& calib, double act_mult,
-                            double weight_mult) {
+                            const CalibrationData& calib, const std::vector<AciqClips>& clips,
+                            double act_mult, double weight_mult) {
     QuantizedGraph qgraph(graph, config);
     const auto& ops = graph.ops();
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const ir::Op& op = ops[i];
         if (op.kind != ir::OpKind::Conv2d) continue;
         QConv& qc = qgraph.conv(i);
+        const AciqClips& c = clips[i];
         const TensorStats& in_stats = calib.per_tensor[static_cast<std::size_t>(op.inputs[0])];
-        const double base_clip = aciq_activation_clip(in_stats, config.act_bits);
-        const double clip = std::min(static_cast<double>(in_stats.max), base_clip * act_mult);
+        const double clip = std::min(static_cast<double>(in_stats.max), c.act_clip * act_mult);
         qc.act = QuantParams::activation_range(static_cast<float>(clip), config.act_bits);
 
-        const std::size_t kdim = op.weights.size() / static_cast<std::size_t>(op.conv.out_c);
         std::vector<QuantParams> wq(static_cast<std::size_t>(op.conv.out_c));
-        for (int oc = 0; oc < op.conv.out_c; ++oc) {
-            const float* row = op.weights.data() + static_cast<std::size_t>(oc) * kdim;
-            const TensorStats s = compute_stats(row, kdim);
-            const double c =
-                aciq_laplace_clip(std::max(1e-7, (double)s.abs_dev), config.weight_bits) *
-                weight_mult;
-            const float lo = std::max(s.min, static_cast<float>(s.mean - c));
-            const float hi = std::min(s.max, static_cast<float>(s.mean + c));
-            wq[static_cast<std::size_t>(oc)] = QuantParams::from_range(lo, hi, config.weight_bits);
+        for (std::size_t oc = 0; oc < wq.size(); ++oc) {
+            const TensorStats& s = c.weight_stats[oc];
+            const double w_clip = c.weight_clip[oc] * weight_mult;
+            const float lo = std::max(s.min, static_cast<float>(s.mean - w_clip));
+            const float hi = std::min(s.max, static_cast<float>(s.mean + w_clip));
+            wq[oc] = QuantParams::from_range(lo, hi, config.weight_bits);
         }
         quantize_weights(op, wq, qc);
         quantize_bias(op, op.bias, config.bias_bits, qc);
@@ -242,9 +270,10 @@ QuantizedGraph quantize_graph(const ir::Graph& graph, Method method, const Quant
         // are compiled once, only the quantization payload is rebound
         // (owning rebind — the runner pins each probe graph itself).
         std::unique_ptr<QuantRunner> own_runner;
+        const std::vector<AciqClips> clips = aciq_clips(graph, config, calib);
         const auto probe_loss = [&](double ma, double mw) {
             auto probe = std::make_shared<const QuantizedGraph>(
-                build_scaled(graph, config, calib, ma, mw));
+                build_scaled(graph, config, calib, clips, ma, mw));
             if (!runner) {
                 own_runner =
                     std::make_unique<QuantRunner>(std::move(probe), calib.images.shape().n);
@@ -278,7 +307,7 @@ QuantizedGraph quantize_graph(const ir::Graph& graph, Method method, const Quant
                             best_w * 1.4, 5);
         best_a = golden_min([&](double ma) { return probe_loss(ma, best_w); }, best_a * 0.7,
                             best_a * 1.4, 5);
-        return build_scaled(graph, config, calib, best_a, best_w);
+        return build_scaled(graph, config, calib, clips, best_a, best_w);
     }
 
     QuantizedGraph qgraph(graph, config);

@@ -175,9 +175,12 @@ void NpuServer::worker_loop() {
         ShardGroup* group = nullptr;
         {
             const common::MutexLock lock(pool_mutex_);
+            // FIFO: the group idle longest serves next. Taking the one
+            // just returned let a single group of a fleet carry closed-loop
+            // traffic while the others sat idle.
             while (idle_groups_.empty()) pool_cv_.wait(pool_mutex_);
-            group = idle_groups_.back();
-            idle_groups_.pop_back();
+            group = idle_groups_.front();
+            idle_groups_.pop_front();
         }
         try {
             group->serve(batch);

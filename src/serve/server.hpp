@@ -25,6 +25,7 @@
 // accepted request — and no triggered re-quantization — is ever dropped.
 #pragma once
 
+#include <deque>
 #include <future>
 #include <memory>
 #include <string>
@@ -206,7 +207,7 @@ private:
 
     common::Mutex pool_mutex_;
     common::CondVar pool_cv_;
-    std::vector<ShardGroup*> idle_groups_ RAQ_GUARDED_BY(pool_mutex_);
+    std::deque<ShardGroup*> idle_groups_ RAQ_GUARDED_BY(pool_mutex_);  ///< FIFO
 
     std::vector<std::thread> workers_;
     std::atomic<std::uint64_t> next_request_id_{0};

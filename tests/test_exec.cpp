@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -227,36 +229,51 @@ TEST(ExecPlan, ArenaAliasesDeadIntermediatesSafely) {
 }
 
 TEST(ExecContext, BuffersStartOnACacheLine) {
-    // The arena and every conv workspace a run touched start on a 64-byte
-    // line, wherever the heap would have put a plain vector.
+    // The arena and every buffer a run touched start on a 64-byte line,
+    // wherever the heap would have put a plain vector. At capacity 2 the
+    // buffers are small heap blocks; at capacity 100 the arena and the
+    // column matrices pass 128 KiB and come from mmap.
     const auto on_line = [](const void* p) {
         return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
     };
-    const auto qgraph = quantize(branch_graph(), quant::Method::M4_Aciq, quant::QuantConfig{});
-    const exec::ExecPlan qplan(qgraph.graph(), exec::PlanOptions{2});
-    exec::QuantBackend qbackend(qgraph);
-    exec::ExecContext qctx;
-    (void)exec::run(qplan, qbackend, qctx, random_batch(2, 5));
-    const exec::ConvScratch& q = qctx.scratch;
-    EXPECT_TRUE(on_line(qctx.arena.data()));
-    EXPECT_TRUE(on_line(q.qx.data()));
-    EXPECT_TRUE(on_line(q.u8_columns.data()));
-    EXPECT_TRUE(on_line(q.colsum.data()));
-    EXPECT_TRUE(on_line(q.acc32.data()));
-    EXPECT_TRUE(on_line(q.acc64.data()));
-    if (!q.packed.empty()) {  // the packed GEMM tiers only
-        EXPECT_TRUE(on_line(q.packed.data()));
-        EXPECT_TRUE(on_line(q.wprep.data()));
-    }
-
+    const auto expect_on_line = [&](const exec::ExecContext& ctx, int n) {
+        EXPECT_TRUE(on_line(ctx.arena.data())) << n;
+        if (n > 1) {
+            EXPECT_TRUE(on_line(ctx.input.data())) << n;
+        }
+        const exec::ConvScratch& q = ctx.scratch;
+        for (const void* p : {static_cast<const void*>(q.columns.data()),
+                              static_cast<const void*>(q.phases.data()),
+                              static_cast<const void*>(q.qx.data()),
+                              static_cast<const void*>(q.u8_columns.data()),
+                              static_cast<const void*>(q.u8_phases.data()),
+                              static_cast<const void*>(q.colsum.data()),
+                              static_cast<const void*>(q.packed.data()),
+                              static_cast<const void*>(q.wprep.data()),
+                              static_cast<const void*>(q.acc32.data()),
+                              static_cast<const void*>(q.acc64.data())})
+            if (p != nullptr) {  // null: a buffer the run left unused
+                EXPECT_TRUE(on_line(p)) << n;
+            }
+    };
     const ir::Graph graph = branch_graph();
-    const exec::ExecPlan fplan(graph, exec::PlanOptions{2});
-    exec::FloatBackend fbackend;
-    exec::ExecContext fctx;
-    (void)exec::run(fplan, fbackend, fctx, random_batch(2, 5));
-    EXPECT_TRUE(on_line(fctx.arena.data()));
-    EXPECT_TRUE(on_line(fctx.scratch.columns.data()));
-    EXPECT_TRUE(on_line(fctx.scratch.product.data()));
+    const auto qgraph = quantize(graph, quant::Method::M4_Aciq, quant::QuantConfig{});
+    for (const int n : {2, 100}) {
+        const tensor::Tensor batch = random_batch(n, 5);
+        const exec::ExecPlan qplan(qgraph.graph(), exec::PlanOptions{n});
+        exec::QuantBackend qbackend(qgraph);
+        exec::ExecContext qctx;
+        (void)exec::run(qplan, qbackend, qctx, batch);
+        EXPECT_FALSE(qctx.scratch.u8_columns.empty());
+        expect_on_line(qctx, n);
+
+        const exec::ExecPlan fplan(graph, exec::PlanOptions{n});
+        exec::FloatBackend fbackend;
+        exec::ExecContext fctx;
+        (void)exec::run(fplan, fbackend, fctx, batch);
+        EXPECT_FALSE(fctx.scratch.columns.empty());
+        expect_on_line(fctx, n);
+    }
 }
 
 TEST(ExecPlan, ArenaNeverOverlapsLiveTensorsOnEveryZooTopology) {
@@ -555,18 +572,23 @@ TEST(ExecSimd, ExtremeZeroPointsMatchScalarAtConvLevel) {
     }
 }
 
-/// im2col against a per-element walk of the column matrix. The output
-/// starts as `poison`, and zero_first is set only when pad > 0 (as
-/// ExecPlan does), so a slot the kernel leaves unwritten fails.
+/// im2col against a per-element walk of the column matrix, on a
+/// channel-major input ([C][N][H][W]). The columns start as `poison`, so
+/// a slot the kernel leaves unwritten fails; a 1×1 stride-1 unpadded conv
+/// must hand back the input itself.
 template <typename T, typename Im2col>
 void expect_im2col_matches_reference(Im2col im2col, const std::vector<T>& in,
                                      const tensor::Shape& s, int kh, int kw, int stride,
                                      int pad, T poison) {
-    const int oh = (s.h + 2 * pad - kh) / stride + 1;
-    const int ow = (s.w + 2 * pad - kw) / stride + 1;
+    const ir::ConvAttrs conv{s.c, 1, kh, kw, stride, pad};
+    const exec::ConvGeom g = exec::make_conv_geom(conv, s);
+    const int oh = g.oh, ow = g.ow;
     const std::size_t cols = static_cast<std::size_t>(s.n * oh * ow);
-    std::vector<T> got(static_cast<std::size_t>(s.c * kh * kw) * cols, poison);
-    im2col(in.data(), s, kh, kw, stride, pad, got.data(), oh, ow, pad > 0);
+    std::vector<T> columns(static_cast<std::size_t>(s.c * kh * kw) * cols, poison);
+    std::vector<T> phases(g.phase_elems(cols), poison);
+    const T* got = im2col(in.data(), s, conv, g, columns.data(), phases.data());
+    const bool direct = kh == 1 && kw == 1 && stride == 1 && pad == 0;
+    ASSERT_EQ(got, direct ? in.data() : columns.data());
     std::size_t slot = 0;
     for (int c = 0; c < s.c; ++c)
         for (int ky = 0; ky < kh; ++ky)
@@ -579,9 +601,9 @@ void expect_im2col_matches_reference(Im2col im2col, const std::vector<T>& in,
                             const bool inside = iy >= 0 && iy < s.h && ix >= 0 && ix < s.w;
                             const T want =
                                 inside ? in[static_cast<std::size_t>(
-                                             ((n * s.c + c) * s.h + iy) * s.w + ix)]
+                                             ((c * s.n + n) * s.h + iy) * s.w + ix)]
                                        : T{0};
-                            ASSERT_EQ(got[slot], want)
+                            ASSERT_EQ(std::memcmp(&got[slot], &want, sizeof(T)), 0)
                                 << "n=" << s.n << " c=" << s.c << " plane " << s.h << "x"
                                 << s.w << " kernel " << kh << "x" << kw << " stride "
                                 << stride << " pad " << pad << " at c=" << c
@@ -591,16 +613,19 @@ void expect_im2col_matches_reference(Im2col im2col, const std::vector<T>& in,
 }
 
 TEST(ExecKernels, Im2colMatchesPerElementReferenceOverGeometries) {
-    const int kernels[][2] = {{1, 1}, {1, 3}, {3, 1}, {2, 2}, {3, 3}};
+    // Every im2col path: direct (1×1), shift (stride-1 "same"), phase
+    // (strided) and gather (the rest), on planes down to 1×1, where most
+    // taps of a "same" kernel read nothing.
+    const int kernels[][2] = {{1, 1}, {1, 3}, {3, 1}, {2, 2}, {3, 3}, {5, 5}};
     const int planes[][2] = {{1, 1}, {2, 2}, {4, 4}, {5, 7}, {16, 16}};
     std::mt19937 rng(97);
     std::uniform_int_distribution<int> code(1, 255);
     std::uniform_real_distribution<float> real(-4.0f, 4.0f);
     for (const auto& k : kernels)
         for (const auto& p : planes)
-            for (const int n : {1, 3})
+            for (const int n : {1, 3, 7})
                 for (const int c : {1, 3})
-                    for (const int stride : {1, 2})
+                    for (const int stride : {1, 2, 3})
                         for (int pad = 0; pad <= 2; ++pad) {
                             if (p[0] + 2 * pad < k[0] || p[1] + 2 * pad < k[1]) continue;
                             const tensor::Shape s{n, c, p[0], p[1]};
@@ -609,12 +634,113 @@ TEST(ExecKernels, Im2colMatchesPerElementReferenceOverGeometries) {
                             ASSERT_NO_FATAL_FAILURE(expect_im2col_matches_reference(
                                 exec::kernels::im2col_u8, qx, s, k[0], k[1], stride, pad,
                                 std::uint8_t{0xA5}));
+                            // Negative zeros, NaN and infinities must come
+                            // through a copy unchanged and leave a masked
+                            // slot +0.0.
                             std::vector<float> x(s.size());
-                            for (auto& v : x) v = real(rng);
+                            for (std::size_t i = 0; i < x.size(); ++i) {
+                                constexpr float kSpecial[] = {
+                                    -0.0f, std::numeric_limits<float>::quiet_NaN(),
+                                    std::numeric_limits<float>::infinity(),
+                                    -std::numeric_limits<float>::infinity()};
+                                x[i] = i % 5 == 0 ? kSpecial[(i / 5) % 4] : real(rng);
+                            }
                             ASSERT_NO_FATAL_FAILURE(expect_im2col_matches_reference(
                                 exec::kernels::im2col, x, s, k[0], k[1], stride, pad,
                                 -99.0f));
                         }
+}
+
+TEST(ExecKernels, MaxPoolFoldsEveryWindowInTheOraclesOrder) {
+    // The 2×2 stride-2 fast path (and the general path beside it) against
+    // a per-window std::max fold from −inf, ky-major then kx-minor, as
+    // the oracle folds. std::max keeps its first argument on a tie or an
+    // unordered pair, so with −0.0, +0.0, NaN and ±inf among the inputs
+    // the fold order decides which zero and whether a NaN survives.
+    constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kValues[] = {-0.0f, 0.0f, kNaN, kInf, -kInf, 1.5f, -2.0f};
+    const int pools[][2] = {{2, 2}, {3, 2}, {2, 1}};  // {kernel, stride}
+    const int planes[][2] = {{2, 2}, {4, 4}, {16, 16}, {5, 7}, {7, 5}, {3, 3}, {1, 1}};
+    std::mt19937 rng(41);
+    std::uniform_int_distribution<std::size_t> pick(0, std::size(kValues) - 1);
+    for (const auto& pool : pools)
+        for (const auto& p : planes)
+            for (const int n : {1, 3}) {
+                const tensor::Shape s{n, 2, p[0], p[1]};
+                if ((s.h - pool[0]) / pool[1] < 0 || (s.w - pool[0]) / pool[1] < 0) continue;
+                const int oh = tensor::conv_out_dim(s.h, pool[0], pool[1], 0);
+                const int ow = tensor::conv_out_dim(s.w, pool[0], pool[1], 0);
+                std::vector<float> x(s.size());
+                for (auto& v : x) v = kValues[pick(rng)];
+                const std::size_t planes_n = static_cast<std::size_t>(s.n * s.c);
+                std::vector<float> got(planes_n * static_cast<std::size_t>(oh * ow), 7.0f);
+                exec::kernels::maxpool(x.data(), s, pool[0], pool[1], got.data(), oh, ow);
+                for (std::size_t plane = 0; plane < planes_n; ++plane)
+                    for (int oy = 0; oy < oh; ++oy)
+                        for (int ox = 0; ox < ow; ++ox) {
+                            float want = -kInf;
+                            for (int ky = 0; ky < pool[0]; ++ky)
+                                for (int kx = 0; kx < pool[0]; ++kx) {
+                                    const int iy = oy * pool[1] + ky;
+                                    const int ix = ox * pool[1] + kx;
+                                    if (iy < s.h && ix < s.w)
+                                        want = std::max(
+                                            want, x[plane * static_cast<std::size_t>(s.h * s.w) +
+                                                    static_cast<std::size_t>(iy * s.w + ix)]);
+                                }
+                            const float have =
+                                got[plane * static_cast<std::size_t>(oh * ow) +
+                                    static_cast<std::size_t>(oy * ow + ox)];
+                            ASSERT_EQ(std::memcmp(&have, &want, sizeof want), 0)
+                                << "pool " << pool[0] << "/" << pool[1] << " plane " << s.h
+                                << "x" << s.w << " n=" << n << " at plane " << plane
+                                << " oy=" << oy << " ox=" << ox << ": " << have << " vs "
+                                << want;
+                        }
+            }
+}
+
+TEST(ExecLayout, BatchOfFiveEqualsFiveSingleRunsAndVisitsNchw) {
+    // Inside a run every tensor is channel-major; at n = 1 that is NCHW,
+    // at n = 5 it is not. The batched run must return, sample for sample,
+    // the bits of five single runs, and its visit must see NCHW tensors
+    // equal to the oracle's.
+    for (const auto& graph : {chain_graph(), branch_graph()}) {
+        const tensor::Tensor batch = random_batch(5, 61);
+        const auto qgraph = quantize(graph, quant::Method::M4_Aciq, quant::QuantConfig{});
+        const exec::ExecPlan qplan(qgraph.graph(), exec::PlanOptions{5});
+        exec::QuantBackend qbackend(qgraph);
+        exec::ExecContext qctx;
+        const tensor::Tensor q5 = exec::run(qplan, qbackend, qctx, batch);
+
+        const exec::ExecPlan fplan(graph, exec::PlanOptions{5});
+        exec::FloatBackend fbackend;
+        exec::ExecContext fctx;
+        const auto reference = seedref::run_float_all(graph, batch);
+        exec::RunOptions options;
+        int visits = 0;
+        options.visit = [&](int id, tensor::TensorView t) {
+            ++visits;
+            expect_bitwise_equal(t, reference[static_cast<std::size_t>(id)], "n=5 visit");
+        };
+        const tensor::Tensor f5 = exec::run(fplan, fbackend, fctx, batch, options);
+        EXPECT_EQ(visits, 1 + static_cast<int>(graph.ops().size()));
+
+        const std::size_t per_sample = q5.size() / 5;
+        for (int i = 0; i < 5; ++i) {
+            const tensor::Tensor q1 = exec::run(qplan, qbackend, qctx, batch.batch_view(i, 1));
+            const tensor::Tensor f1 = exec::run(fplan, fbackend, fctx, batch.batch_view(i, 1));
+            expect_bitwise_equal(
+                tensor::TensorView(q5.data() + static_cast<std::size_t>(i) * per_sample,
+                                   q1.shape()),
+                q1, "quant sample");
+            expect_bitwise_equal(
+                tensor::TensorView(f5.data() + static_cast<std::size_t>(i) * per_sample,
+                                   f1.shape()),
+                f1, "float sample");
+        }
+    }
 }
 
 TEST(ExecVisit, VisitsEveryTensorOnceInScheduleOrderWithOracleValues) {

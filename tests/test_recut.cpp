@@ -381,9 +381,11 @@ TEST_F(Recut, SwapWaitsOutInFlightBackgroundBuilds) {
     // devices' background builds queue back to back on one service
     // worker while the monitors re-cut. A build still queued or
     // running when the swap remaps its device would read the sub-graph of
-    // one cut with the calibration slice of the other, and the exception
-    // quantize_graph throws on the service thread ends the process. Each
-    // round is one chance to hit that window, so the test runs several.
+    // one cut with the calibration slice of the other; quantize_graph
+    // throws, and the build publishes as a `failed: ` RequantBuild event
+    // on the timeline. Each round is one chance to hit that window, so
+    // the test runs several, and a round ends only once both the re-cut
+    // and a background build have landed.
     serve::ServeConfig cfg;
     cfg.num_devices = 4;
     cfg.num_shards = 2;
@@ -398,6 +400,8 @@ TEST_F(Recut, SwapWaitsOutInFlightBackgroundBuilds) {
     cfg.repartition.imbalance_ratio = 1.4;
     cfg.repartition.min_batches = 2;
     cfg.repartition.poll_ms = 1;
+    cfg.telemetry.metrics = true;
+    cfg.telemetry.timeline_capacity = std::size_t{1} << 16;  // keep every event
     for (int round = 0; round < 8; ++round) {
         serve::NpuServer server(context(), cfg);
         int submitted = 0;
@@ -407,22 +411,32 @@ TEST_F(Recut, SwapWaitsOutInFlightBackgroundBuilds) {
                 futures.push_back(server.submit(test_image(submitted++ % 100)));
             for (auto& f : futures) EXPECT_FALSE(f.get().logits.empty());
         };
+        const auto background_builds = [&] {
+            int builds = 0;
+            for (int g = 0; g < 2; ++g)
+                for (int k = 0; k < 2; ++k)
+                    for (const serve::RequantEvent& event :
+                         server.shard_group(g).shard(k).stats().requant_events)
+                        builds += event.background && !event.recut;
+            return builds;
+        };
         const auto deadline = std::chrono::steady_clock::now() + 30s;
-        while (server.shard_group(0).partition_generation() < 2 &&
+        while ((server.shard_group(0).partition_generation() < 2 || background_builds() < 1) &&
                std::chrono::steady_clock::now() < deadline)
             submit_phase();
         ASSERT_GE(server.shard_group(0).partition_generation(), 2u)
             << "online re-cut did not happen within the deadline";
+        EXPECT_GE(background_builds(), 1) << "round " << round;
         submit_phase();  // the new cut serves too
         server.shutdown();
 
-        int background_builds = 0;
-        for (int g = 0; g < 2; ++g)
-            for (int k = 0; k < 2; ++k)
-                for (const serve::RequantEvent& event :
-                     server.shard_group(g).shard(k).stats().requant_events)
-                    background_builds += event.background && !event.recut;
-        EXPECT_GE(background_builds, 1) << "round " << round;
+        const obs::EventTimeline& timeline = server.telemetry()->timeline();
+        ASSERT_EQ(timeline.total_recorded(), timeline.size()) << "round " << round;
+        for (const obs::ReliabilityEvent& event : timeline.snapshot())
+            EXPECT_FALSE(event.kind == obs::EventKind::RequantBuild &&
+                         event.detail.rfind("failed: ", 0) == 0)
+                << "round " << round << ": device " << event.device_id << " generation "
+                << event.generation << " build " << event.detail;
     }
 }
 

@@ -600,6 +600,30 @@ TEST_F(Serve, CompletionIsCountedBeforeTheResultResolves) {
     }
 }
 
+TEST_F(Serve, IdleGroupsTakeTurnsUnderSerialTraffic) {
+    // One request in flight at a time on two one-stage groups: the group
+    // that has been idle longest serves next, so consecutive requests
+    // alternate devices whatever the timing. Handing each batch to the
+    // group returned last put every request on one device once the client
+    // paused after each reply, as the pause below makes it do.
+    serve::ServeConfig cfg;
+    cfg.num_devices = 2;
+    cfg.num_workers = 2;
+    cfg.max_batch = 1;
+    serve::NpuServer server(context(), cfg);
+    int previous = -1;
+    for (int i = 0; i < 16; ++i) {
+        const serve::InferenceResult result = server.submit(test_image(i)).get();
+        if (previous >= 0) {
+            EXPECT_NE(result.device_id, previous) << "request " << i;
+        }
+        previous = result.device_id;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.shutdown();
+    for (int d = 0; d < 2; ++d) EXPECT_EQ(server.device(d).stats().requests, 8u) << d;
+}
+
 TEST(ServeStats, LatencyReservoirBoundedWithExactAggregates) {
     constexpr std::size_t kCapacity = 64;
     constexpr std::uint64_t kSamples = 10000;
