@@ -1,7 +1,9 @@
 // google-benchmark microbenchmarks of the library's hot kernels: STA
 // analysis, event-driven simulation, the integer-GEMM microkernel family
-// (every available SIMD dispatch tier, unpacked and packed), im2col,
-// float GEMM variants, and end-to-end float/quantized inference.
+// (every available SIMD dispatch tier, unpacked and packed), the conv's
+// column sums, epilogues (to floats and to codes) and quantize per tier,
+// max-pool on floats and on codes, im2col, float GEMM variants, and
+// end-to-end float/quantized inference.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -191,6 +193,121 @@ void BM_FloatGemm(benchmark::State& state) {
         static_cast<std::int64_t>((a.size() + b.size() + c.size()) * sizeof(float)));
 }
 
+// ---- the kernels around the GEMM, on alexnet-mini's batch-100 shapes ------
+//
+// c2 (16 -> 32 channels, 3x3, on 8x8 planes): a 32 x 6400 output, whose
+// epilogue runs row by row over 6400 accumulators, and a kdim 144 column
+// matrix for the column sums. Its output, quantized whole, is the
+// quantize bench. The pools are pool1 (16 channels of 16x16) and pool2
+// (32 channels of 8x8), 100 samples each.
+
+constexpr std::size_t kEpiRows = 32;
+constexpr std::size_t kEpiCols = 6400;
+constexpr std::size_t kColSumKdim = 16 * 3 * 3;
+
+struct EpilogueFixture {
+    std::vector<std::int32_t> acc, colsum;
+    std::vector<float> out;
+    std::vector<std::uint8_t> codes;
+    std::vector<std::uint8_t> columns;  // [kColSumKdim, kEpiCols]
+
+    EpilogueFixture()
+        : acc(kEpiRows * kEpiCols), colsum(kEpiCols), out(kEpiRows * kEpiCols),
+          codes(kEpiRows * kEpiCols), columns(kColSumKdim * kEpiCols) {
+        common::Rng rng(13);
+        for (auto& v : columns) v = static_cast<std::uint8_t>(rng.next_u64() % 64);
+        for (auto& v : acc) v = static_cast<std::int32_t>(rng.next_u64() % 200000) - 50000;
+        for (auto& v : colsum) v = static_cast<std::int32_t>(rng.next_u64() % 9000);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = static_cast<float>(acc[i]) * 1.5e-5f;
+    }
+};
+
+constexpr exec::kernels_simd::CodeParams kBenchCodes{0.02f, 255, 0xFF};
+
+void BM_Epilogue(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
+    static EpilogueFixture fx;
+    const auto epi = exec::kernels_simd::epilogue_kernel(tier);
+    for (auto _ : state) {
+        for (std::size_t r = 0; r < kEpiRows; ++r)
+            epi(fx.acc.data() + r * kEpiCols, fx.colsum.data(), kEpiCols, 131, 77, 1.5e-5f,
+                fx.out.data() + r * kEpiCols);
+        benchmark::DoNotOptimize(fx.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kEpiRows * kEpiCols));
+}
+
+void BM_EpilogueCodes(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
+    static EpilogueFixture fx;
+    const auto epi = exec::kernels_simd::epilogue_codes_kernel(tier);
+    for (auto _ : state) {
+        for (std::size_t r = 0; r < kEpiRows; ++r)
+            epi(fx.acc.data() + r * kEpiCols, fx.colsum.data(), kEpiCols, 131, 77, 1.5e-5f,
+                kBenchCodes, fx.codes.data() + r * kEpiCols);
+        benchmark::DoNotOptimize(fx.codes.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kEpiRows * kEpiCols));
+}
+
+void BM_QuantizeU8(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
+    static EpilogueFixture fx;
+    const auto quantize = exec::kernels_simd::quantize_u8_kernel(tier);
+    for (auto _ : state) {
+        quantize(fx.out.data(), fx.out.size(), kBenchCodes, fx.codes.data());
+        benchmark::DoNotOptimize(fx.codes.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(fx.out.size()));
+}
+
+void BM_ColSum(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
+    static EpilogueFixture fx;
+    const auto colsum = exec::kernels_simd::colsum_kernel(tier);
+    for (auto _ : state) {
+        colsum(fx.columns.data(), kColSumKdim, kEpiCols, fx.colsum.data());
+        benchmark::DoNotOptimize(fx.colsum.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(fx.columns.size()));
+}
+
+/// Pool input [planes = Args[0]] of Args[1] x Args[1]; items = input elements.
+tensor::Shape pool_shape(const benchmark::State& state) {
+    const int hw = static_cast<int>(state.range(1));
+    return {100, static_cast<int>(state.range(0)), hw, hw};
+}
+
+void BM_MaxPool(benchmark::State& state) {
+    const tensor::Shape s = pool_shape(state);
+    std::vector<float> in(s.size()), out(s.size() / 4);
+    common::Rng rng(17);
+    for (auto& v : in) v = static_cast<float>(rng.next_u64() % 1000) * 0.01f - 2.0f;
+    for (auto _ : state) {
+        exec::kernels::maxpool(in.data(), s, 2, 2, out.data(), s.h / 2, s.w / 2);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(s.size()));
+}
+
+void BM_MaxPoolU8(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
+    const tensor::Shape s = pool_shape(state);
+    std::vector<std::uint8_t> in(s.size()), out(s.size() / 4);
+    common::Rng rng(17);
+    for (auto& v : in) v = static_cast<std::uint8_t>(rng.next_u64());
+    const auto pairs = exec::kernels_simd::maxpool_u8_kernel(tier);  // null: scalar fold
+    for (auto _ : state) {
+        exec::kernels::maxpool_u8(in.data(), s, 2, 2, out.data(), s.h / 2, s.w / 2, pairs);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(s.size()));
+}
+BENCHMARK(BM_MaxPool)->Args({16, 16})->Args({32, 8});
+
 // Per-tier registration has to happen at runtime (the available set is a
 // CPUID question), so it rides a static initializer instead of the
 // BENCHMARK macro.
@@ -203,6 +320,17 @@ const int kRegisterTierBenches = [] {
         if (exec::kernels_simd::packed_kernels(tier).gemm != nullptr)
             benchmark::RegisterBenchmark(("BM_GemmU8Packed/" + name).c_str(),
                                          BM_GemmU8Packed, tier);
+        if (exec::kernels_simd::epilogue_kernel(tier) != nullptr)
+            benchmark::RegisterBenchmark(("BM_Epilogue/" + name).c_str(), BM_Epilogue, tier);
+        if (exec::kernels_simd::epilogue_codes_kernel(tier) != nullptr)
+            benchmark::RegisterBenchmark(("BM_EpilogueCodes/" + name).c_str(),
+                                         BM_EpilogueCodes, tier);
+        benchmark::RegisterBenchmark(("BM_QuantizeU8/" + name).c_str(), BM_QuantizeU8, tier);
+        if (exec::kernels_simd::colsum_kernel(tier) != nullptr)
+            benchmark::RegisterBenchmark(("BM_ColSum/" + name).c_str(), BM_ColSum, tier);
+        benchmark::RegisterBenchmark(("BM_MaxPoolU8/" + name).c_str(), BM_MaxPoolU8, tier)
+            ->Args({16, 16})
+            ->Args({32, 8});
     }
     return 0;
 }();

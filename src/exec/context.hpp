@@ -9,7 +9,9 @@
 // Every tensor in the arena is channel-major, [C][N][H][W]; callers see
 // NCHW. At n = 1 the two are the same bytes. For n > 1 the engine
 // transposes the batch into `input`, each visited tensor into `visit`,
-// and the result out to NCHW.
+// and the result out to NCHW. A tensor a quantized run hands off as u8
+// codes (backend.hpp, Handoff) fills the first bytes of its float-sized
+// arena region.
 #pragma once
 
 #include <sys/mman.h>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 
 #include "exec/kernels.hpp"
@@ -12,6 +13,12 @@ namespace {
 
 std::size_t plane_size(const tensor::Shape& s) {
     return static_cast<std::size_t>(s.h) * static_cast<std::size_t>(s.w);
+}
+
+/// A code tensor's bytes, at the start of its (float-sized) region.
+std::uint8_t* codes_at(float* region) { return reinterpret_cast<std::uint8_t*>(region); }
+const std::uint8_t* codes_at(const float* region) {
+    return reinterpret_cast<const std::uint8_t*>(region);
 }
 
 }  // namespace
@@ -35,6 +42,15 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
 
     ExecContext::reserve(ctx.arena, plan.arena_floats());
     backend.prepare(plan, ctx);
+
+    // The integer handoff: tensors the backend hands from op to op as u8
+    // codes. A visit reads every tensor as floats, so it turns it off.
+    const Handoff* handoff = options.visit ? nullptr : backend.handoff();
+    if (handoff != nullptr && handoff->codes.size() != shapes.size())
+        throw std::logic_error("exec::run: backend handoff does not match the plan's graph");
+    const auto codes_of = [handoff](int tensor_id) -> const kernels_simd::CodeParams* {
+        return handoff != nullptr ? handoff->code(tensor_id) : nullptr;
+    };
 
     // Tensor id -> buffer. Every tensor is channel-major, [C][N][H][W];
     // at n = 1 that is NCHW, so the input is read in place from the
@@ -71,6 +87,8 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
         float* out = ctx.arena.data() + plan.offset_of(op.output);
         const float* in0 = buffers[static_cast<std::size_t>(op.inputs.at(0))];
         const tensor::Shape& in0_shape = shapes[static_cast<std::size_t>(op.inputs.at(0))];
+        // Non-null: this op writes its output as codes with these parameters.
+        const kernels_simd::CodeParams* out_codes = codes_of(op.output);
 
         switch (op.kind) {
             case ir::OpKind::Conv2d: {
@@ -78,19 +96,35 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                 call.op_index = step.op_index;
                 call.op = &op;
                 call.geom = plan.conv_geom(step.op_index);
-                call.in = in0;
+                if (codes_of(op.inputs[0]) != nullptr)
+                    call.in_codes = codes_at(in0);
+                else
+                    call.in = in0;
                 call.in_shape = in0_shape;
                 call.out = out;
+                call.out_codes = out_codes;
                 call.out_shape = out_shape;
                 backend.conv(call, ctx);
                 break;
             }
             case ir::OpKind::Relu:
-                kernels::relu(in0, out, in0_shape.size());
+                // In place when the plan joined the ReLU to its input (it is
+                // the input's only reader); over codes it is then a no-op.
+                if (out_codes == nullptr)
+                    kernels::relu(in0, out, in0_shape.size());
+                else if (codes_of(op.inputs[0]) == nullptr)
+                    handoff->quantize(in0, in0_shape.size(), *out_codes, codes_at(out));
+                else if (out != in0)
+                    std::memcpy(out, in0, in0_shape.size());
                 break;
             case ir::OpKind::MaxPool2d:
-                kernels::maxpool(in0, in0_shape, op.pool.kernel, op.pool.stride, out,
-                                 out_shape.h, out_shape.w);
+                if (out_codes != nullptr)
+                    kernels::maxpool_u8(codes_at(in0), in0_shape, op.pool.kernel,
+                                        op.pool.stride, codes_at(out), out_shape.h,
+                                        out_shape.w, handoff->maxpool);
+                else
+                    kernels::maxpool(in0, in0_shape, op.pool.kernel, op.pool.stride, out,
+                                     out_shape.h, out_shape.w);
                 break;
             case ir::OpKind::GlobalAvgPool:
                 kernels::global_avg_pool(in0, in0_shape, out);
@@ -100,13 +134,19 @@ tensor::Tensor run(const ExecPlan& plan, Backend& backend, ExecContext& ctx,
                              in0_shape.size());
                 break;
             case ir::OpKind::Concat: {
-                std::vector<kernels::ConcatInput> ins;
-                ins.reserve(op.inputs.size());
-                for (const int id : op.inputs)
-                    ins.push_back(kernels::ConcatInput{
-                        buffers[static_cast<std::size_t>(id)],
-                        shapes[static_cast<std::size_t>(id)].c});
-                kernels::concat(ins, out_shape, out);
+                // Channel-major: input i's channels are one block of the
+                // output, floats or codes alike.
+                const std::size_t channel_bytes =
+                    static_cast<std::size_t>(out_shape.n) * plane_size(out_shape) *
+                    (out_codes != nullptr ? 1 : sizeof(float));
+                auto* dst = codes_at(out);
+                for (const int id : op.inputs) {
+                    const std::size_t block =
+                        static_cast<std::size_t>(shapes[static_cast<std::size_t>(id)].c) *
+                        channel_bytes;
+                    std::memcpy(dst, buffers[static_cast<std::size_t>(id)], block);
+                    dst += block;
+                }
                 break;
             }
         }

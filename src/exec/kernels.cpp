@@ -10,9 +10,13 @@ void relu(const float* in, float* out, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) out[i] = in[i] > 0 ? in[i] : 0.0f;
 }
 
-void maxpool(const float* in, const tensor::Shape& s, int kernel, int stride, float* out,
-             int oh, int ow) {
-    constexpr float kLow = -std::numeric_limits<float>::infinity();
+namespace {
+
+/// Max-pool fold shared by floats (from −inf) and codes (from 0, the code
+/// of −inf): std::max(acc, v), ky-major then kx-minor.
+template <typename T>
+void maxpool_fold(const T* in, const tensor::Shape& s, int kernel, int stride, T* out, int oh,
+                  int ow, T low) {
     const std::size_t planes = static_cast<std::size_t>(s.n) * static_cast<std::size_t>(s.c);
     const std::size_t in_hw = static_cast<std::size_t>(s.h) * static_cast<std::size_t>(s.w);
     const std::size_t out_hw = static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
@@ -22,12 +26,12 @@ void maxpool(const float* in, const tensor::Shape& s, int kernel, int stride, fl
         // pass per output row, in the order of the general path below.
         for (std::size_t p = 0; p < planes; ++p)
             for (int oy = 0; oy < oh; ++oy) {
-                const float* r0 = in + p * in_hw + 2 * static_cast<std::size_t>(oy) * w;
-                const float* r1 = r0 + w;
-                float* o = out + p * out_hw + static_cast<std::size_t>(oy) *
-                                                  static_cast<std::size_t>(ow);
+                const T* r0 = in + p * in_hw + 2 * static_cast<std::size_t>(oy) * w;
+                const T* r1 = r0 + w;
+                T* o = out + p * out_hw + static_cast<std::size_t>(oy) *
+                                              static_cast<std::size_t>(ow);
                 for (int ox = 0; ox < ow; ++ox) {
-                    float acc = std::max(kLow, r0[2 * ox]);
+                    T acc = std::max(low, r0[2 * ox]);
                     acc = std::max(acc, r0[2 * ox + 1]);
                     acc = std::max(acc, r1[2 * ox]);
                     o[ox] = std::max(acc, r1[2 * ox + 1]);
@@ -36,8 +40,8 @@ void maxpool(const float* in, const tensor::Shape& s, int kernel, int stride, fl
         return;
     }
     for (std::size_t p = 0; p < planes; ++p) {
-        const float* plane = in + p * in_hw;
-        float* dst = out + p * out_hw;
+        const T* plane = in + p * in_hw;
+        T* dst = out + p * out_hw;
         // Window-bound hoisting: for fixed kx the in-bounds ox are a
         // prefix (ox·stride + kx < w), so the inner loops are
         // branch-free strided max-accumulations over the output row —
@@ -45,11 +49,11 @@ void maxpool(const float* in, const tensor::Shape& s, int kernel, int stride, fl
         // per output as the naive window walk, so identical results
         // (including the −inf seed for fully out-of-bounds windows).
         for (int oy = 0; oy < oh; ++oy) {
-            float* row_out = dst + static_cast<std::size_t>(oy) * static_cast<std::size_t>(ow);
-            for (int ox = 0; ox < ow; ++ox) row_out[ox] = kLow;
+            T* row_out = dst + static_cast<std::size_t>(oy) * static_cast<std::size_t>(ow);
+            for (int ox = 0; ox < ow; ++ox) row_out[ox] = low;
             const int ky_hi = std::min(kernel, s.h - oy * stride);
             for (int ky = 0; ky < ky_hi; ++ky) {
-                const float* row_in =
+                const T* row_in =
                     plane + (static_cast<std::size_t>(oy) * static_cast<std::size_t>(stride) +
                              static_cast<std::size_t>(ky)) *
                                 w;
@@ -64,6 +68,24 @@ void maxpool(const float* in, const tensor::Shape& s, int kernel, int stride, fl
             }
         }
     }
+}
+
+}  // namespace
+
+void maxpool(const float* in, const tensor::Shape& s, int kernel, int stride, float* out,
+             int oh, int ow) {
+    maxpool_fold(in, s, kernel, stride, out, oh, ow, -std::numeric_limits<float>::infinity());
+}
+
+void maxpool_u8(const std::uint8_t* in, const tensor::Shape& s, int kernel, int stride,
+                std::uint8_t* out, int oh, int ow, kernels_simd::MaxPoolU8Fn pairs) {
+    if (pairs != nullptr && kernel == 2 && stride == 2 && 2 * oh <= s.h && 2 * ow <= s.w) {
+        pairs(in, static_cast<std::size_t>(s.n) * static_cast<std::size_t>(s.c),
+              static_cast<std::size_t>(s.h), static_cast<std::size_t>(s.w),
+              static_cast<std::size_t>(oh), static_cast<std::size_t>(ow), out);
+        return;
+    }
+    maxpool_fold(in, s, kernel, stride, out, oh, ow, std::uint8_t{0});
 }
 
 void global_avg_pool(const float* in, const tensor::Shape& s, float* out) {
@@ -81,18 +103,6 @@ void global_avg_pool(const float* in, const tensor::Shape& s, float* out) {
 
 void add(const float* a, const float* b, float* out, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void concat(const std::vector<ConcatInput>& ins, const tensor::Shape& out_shape, float* out) {
-    // Channel-major: input i's channels are one block of the output.
-    const std::size_t channel_block = static_cast<std::size_t>(out_shape.n) *
-                                      static_cast<std::size_t>(out_shape.h) *
-                                      static_cast<std::size_t>(out_shape.w);
-    for (const ConcatInput& in : ins) {
-        const std::size_t block = static_cast<std::size_t>(in.channels) * channel_block;
-        std::memcpy(out, in.data, block * sizeof(float));
-        out += block;
-    }
 }
 
 void transpose_planes(const float* in, int rows, int cols, std::size_t plane, float* out) {

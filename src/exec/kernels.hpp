@@ -8,13 +8,18 @@
 // channel's planes for the whole batch form one contiguous block (at
 // n = 1 that is NCHW). relu, add, maxpool and global_avg_pool work plane
 // by plane or element by element, so they are the same code on either
-// layout; concat and im2col read the channel-major blocks.
+// layout; im2col reads the channel-major blocks (the engine's concat is
+// one block copy per input).
+//
+// Codes: a quantized run hands tensors whose readers are all convs from
+// op to op as u8 activation codes (see backend.hpp, Handoff). maxpool_u8
+// and im2col_u8 run on those; a ReLU over codes is a no-op.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "exec/kernels_simd.hpp"
 #include "exec/plan.hpp"
 #include "tensor/tensor.hpp"
 
@@ -29,17 +34,18 @@ void relu(const float* in, float* out, std::size_t n);
 void maxpool(const float* in, const tensor::Shape& s, int kernel, int stride, float* out,
              int oh, int ow);
 
+/// The same over activation codes, folding from code 0: the code of −inf.
+/// Quantize and the LSB mask are monotone non-decreasing, so
+/// max(q(a), q(b)) == q(max(a, b)) and this equals pooling the floats,
+/// then quantizing. The 2×2 stride-2 in-plane pool runs `pairs` (the
+/// tier's vector kernel) when given.
+void maxpool_u8(const std::uint8_t* in, const tensor::Shape& s, int kernel, int stride,
+                std::uint8_t* out, int oh, int ow, kernels_simd::MaxPoolU8Fn pairs);
+
 /// Mean of each of the s.n·s.c planes of `in`, y-major, into out[plane].
 void global_avg_pool(const float* in, const tensor::Shape& s, float* out);
 
 void add(const float* a, const float* b, float* out, std::size_t n);
-
-struct ConcatInput {
-    const float* data = nullptr;
-    int channels = 0;
-};
-/// Channel concat of channel-major inputs: one block copy per input.
-void concat(const std::vector<ConcatInput>& ins, const tensor::Shape& out_shape, float* out);
 
 /// Swaps the two outer dimensions of [rows][cols][plane]: out is
 /// [cols][rows][plane]. NCHW -> channel-major is (rows, cols) = (N, C);

@@ -48,16 +48,26 @@ void gemm_u8_scalar(const std::uint8_t* w, std::size_t w_stride, std::size_t row
                          acc_stride);
 }
 
-/// Scalar remainder of the vector quantize loops: the same expression as
-/// quant::QuantParams::quantize, with the activation mask applied.
-[[maybe_unused]] void quantize_u8_tail(const float* in, std::size_t begin, std::size_t n, float scale,
-                      std::int32_t zero_point, std::int32_t qmax, std::uint8_t mask,
-                      std::uint8_t* out) {
-    for (std::size_t i = begin; i < n; ++i) {
-        const float q = std::nearbyint(in[i] / scale) + static_cast<float>(zero_point);
-        const float clamped = std::min(std::max(q, 0.0f), static_cast<float>(qmax));
-        out[i] = static_cast<std::uint8_t>(static_cast<std::int32_t>(clamped)) & mask;
-    }
+/// The scalar quantize loop over [begin, n): the whole kernel on tiers
+/// without a vector body, the remainder of the vector loops on the rest.
+void quantize_u8_range(const float* in, std::size_t begin, std::size_t n, const CodeParams& q,
+                       std::uint8_t* out) {
+    for (std::size_t i = begin; i < n; ++i) out[i] = quantize_code(in[i], q);
+}
+
+void quantize_u8_scalar(const float* in, std::size_t n, const CodeParams& q,
+                        std::uint8_t* out) {
+    quantize_u8_range(in, 0, n, q, out);
+}
+
+/// Scalar remainder of the vector epilogues: the same expression as
+/// QuantBackend's scalar loop.
+[[maybe_unused]] float epilogue_value(const std::int32_t* acc, const std::int32_t* colsum,
+                                      std::size_t j, std::int32_t zw, std::int64_t qb,
+                                      float scale) {
+    const std::int64_t corrected =
+        static_cast<std::int64_t>(acc[j]) - static_cast<std::int64_t>(zw) * colsum[j] + qb;
+    return static_cast<float>(corrected) * scale;
 }
 
 #if RAQ_SIMD_X86
@@ -319,9 +329,40 @@ bool cpu_has_avx_vnni() {
     return __get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) != 0 && (eax & (1u << 4)) != 0;
 }
 
-/// f64 epilogue (see EpilogueFn): every operand is an exact integer in
-/// f64, so mul/sub/add are exact and cvtpd→ps is the one rounding the
-/// scalar i64→f32 cast performs.
+/// f64 epilogue (see EpilogueFn) of 4 columns: every operand is an exact
+/// integer in f64, so mul/sub/add are exact and cvtpd→ps is the one
+/// rounding the scalar i64→f32 cast performs; then the f32 product.
+__attribute__((target("sse4.1"), always_inline)) inline __m128 epi4_sse41(
+    const std::int32_t* acc, const std::int32_t* colsum, __m128d vzw, __m128d vqb,
+    __m128 vscale) {
+    const __m128i ai = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc));
+    const __m128i ci = _mm_loadu_si128(reinterpret_cast<const __m128i*>(colsum));
+    const __m128d a01 = _mm_cvtepi32_pd(ai);
+    const __m128d a23 = _mm_cvtepi32_pd(_mm_srli_si128(ai, 8));
+    const __m128d c01 = _mm_cvtepi32_pd(ci);
+    const __m128d c23 = _mm_cvtepi32_pd(_mm_srli_si128(ci, 8));
+    const __m128d r01 = _mm_add_pd(_mm_sub_pd(a01, _mm_mul_pd(vzw, c01)), vqb);
+    const __m128d r23 = _mm_add_pd(_mm_sub_pd(a23, _mm_mul_pd(vzw, c23)), vqb);
+    return _mm_mul_ps(_mm_movelh_ps(_mm_cvtpd_ps(r01), _mm_cvtpd_ps(r23)), vscale);
+}
+
+/// One 4-float quantize step (lambdas cannot carry target attributes, so
+/// these helpers are standalone and force-inlined into their callers):
+/// maxps returns its second operand, 0, for a NaN.
+__attribute__((target("sse4.1"), always_inline)) inline __m128i code4_sse41(
+    __m128 x, __m128 vscale, __m128 vzero, __m128 vqmax) {
+    __m128 q = _mm_round_ps(_mm_div_ps(x, vscale), _MM_FROUND_CUR_DIRECTION);  // == nearbyint
+    q = _mm_min_ps(_mm_max_ps(q, vzero), vqmax);
+    return _mm_cvtps_epi32(q);  // integral-valued: conversion is exact
+}
+
+/// 16 masked codes from four 4-lane code vectors.
+__attribute__((target("sse4.1"), always_inline)) inline __m128i pack16_sse41(const __m128i c[4],
+                                                                            __m128i vmask) {
+    return _mm_and_si128(
+        _mm_packus_epi16(_mm_packus_epi32(c[0], c[1]), _mm_packus_epi32(c[2], c[3])), vmask);
+}
+
 __attribute__((target("sse4.1"))) void epilogue_sse41(const std::int32_t* acc,
                                                       const std::int32_t* colsum,
                                                       std::size_t n, std::int32_t zw,
@@ -331,23 +372,75 @@ __attribute__((target("sse4.1"))) void epilogue_sse41(const std::int32_t* acc,
     const __m128d vqb = _mm_set1_pd(static_cast<double>(qb));
     const __m128 vscale = _mm_set1_ps(scale);
     std::size_t j = 0;
+    for (; j + 4 <= n; j += 4)
+        _mm_storeu_ps(out + j, epi4_sse41(acc + j, colsum + j, vzw, vqb, vscale));
+    for (; j < n; ++j) out[j] = epilogue_value(acc, colsum, j, zw, qb, scale);
+}
+
+__attribute__((target("sse4.1"))) void epilogue_codes_sse41(
+    const std::int32_t* acc, const std::int32_t* colsum, std::size_t n, std::int32_t zw,
+    std::int64_t qb, float scale, const CodeParams& q, std::uint8_t* out) {
+    const __m128d vzw = _mm_set1_pd(static_cast<double>(zw));
+    const __m128d vqb = _mm_set1_pd(static_cast<double>(qb));
+    const __m128 vscale = _mm_set1_ps(scale);
+    const __m128 vcode_scale = _mm_set1_ps(q.scale);
+    const __m128 vzero = _mm_setzero_ps();
+    const __m128 vqmax = _mm_set1_ps(static_cast<float>(q.qmax));
+    const __m128i vmask = _mm_set1_epi8(static_cast<char>(q.mask));
+    std::size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+        __m128i c[4];
+        for (std::size_t b = 0; b < 4; ++b)
+            c[b] = code4_sse41(epi4_sse41(acc + j + 4 * b, colsum + j + 4 * b, vzw, vqb, vscale),
+                               vcode_scale, vzero, vqmax);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + j), pack16_sse41(c, vmask));
+    }
+    // Short rows (small planes at batch 1): 4 columns a step, then one
+    // by one.
     for (; j + 4 <= n; j += 4) {
-        const __m128i ai = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + j));
-        const __m128i ci = _mm_loadu_si128(reinterpret_cast<const __m128i*>(colsum + j));
-        const __m128d a01 = _mm_cvtepi32_pd(ai);
-        const __m128d a23 = _mm_cvtepi32_pd(_mm_srli_si128(ai, 8));
-        const __m128d c01 = _mm_cvtepi32_pd(ci);
-        const __m128d c23 = _mm_cvtepi32_pd(_mm_srli_si128(ci, 8));
-        const __m128d r01 = _mm_add_pd(_mm_sub_pd(a01, _mm_mul_pd(vzw, c01)), vqb);
-        const __m128d r23 = _mm_add_pd(_mm_sub_pd(a23, _mm_mul_pd(vzw, c23)), vqb);
-        const __m128 f = _mm_movelh_ps(_mm_cvtpd_ps(r01), _mm_cvtpd_ps(r23));
-        _mm_storeu_ps(out + j, _mm_mul_ps(f, vscale));
+        const __m128i c[4] = {code4_sse41(epi4_sse41(acc + j, colsum + j, vzw, vqb, vscale),
+                                          vcode_scale, vzero, vqmax),
+                              _mm_setzero_si128(), _mm_setzero_si128(), _mm_setzero_si128()};
+        const std::int32_t four = _mm_cvtsi128_si32(pack16_sse41(c, vmask));
+        std::memcpy(out + j, &four, sizeof four);
     }
-    for (; j < n; ++j) {
-        const std::int64_t corrected =
-            static_cast<std::int64_t>(acc[j]) - static_cast<std::int64_t>(zw) * colsum[j] + qb;
-        out[j] = static_cast<float>(corrected) * scale;
-    }
+    for (; j < n; ++j) out[j] = quantize_code(epilogue_value(acc, colsum, j, zw, qb, scale), q);
+}
+
+/// The AVX2 epilogue of 8 columns (see epi4_sse41).
+__attribute__((target("avx2"), always_inline)) inline __m256 epi8_avx2(
+    const std::int32_t* acc, const std::int32_t* colsum, __m256d vzw, __m256d vqb,
+    __m256 vscale) {
+    const __m128i a_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc));
+    const __m128i a_hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + 4));
+    const __m128i c_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(colsum));
+    const __m128i c_hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(colsum + 4));
+    const __m256d r_lo = _mm256_add_pd(
+        _mm256_sub_pd(_mm256_cvtepi32_pd(a_lo), _mm256_mul_pd(vzw, _mm256_cvtepi32_pd(c_lo))),
+        vqb);
+    const __m256d r_hi = _mm256_add_pd(
+        _mm256_sub_pd(_mm256_cvtepi32_pd(a_hi), _mm256_mul_pd(vzw, _mm256_cvtepi32_pd(c_hi))),
+        vqb);
+    return _mm256_mul_ps(_mm256_set_m128(_mm256_cvtpd_ps(r_hi), _mm256_cvtpd_ps(r_lo)),
+                         vscale);
+}
+
+__attribute__((target("avx2"), always_inline)) inline __m256i code8_avx2(
+    __m256 x, __m256 vscale, __m256 vzero, __m256 vqmax) {
+    __m256 q = _mm256_round_ps(_mm256_div_ps(x, vscale), _MM_FROUND_CUR_DIRECTION);
+    q = _mm256_min_ps(_mm256_max_ps(q, vzero), vqmax);
+    return _mm256_cvtps_epi32(q);  // integral-valued: conversion is exact
+}
+
+/// 32 masked codes from four 8-lane code vectors: packus interleaves
+/// 128-bit lanes, and the permutation restores byte order after the two
+/// packs.
+__attribute__((target("avx2"), always_inline)) inline __m256i pack32_avx2(const __m256i c[4],
+                                                                          __m256i vmask) {
+    const __m256i unshuffle = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    const __m256i packed =
+        _mm256_packus_epi16(_mm256_packus_epi32(c[0], c[1]), _mm256_packus_epi32(c[2], c[3]));
+    return _mm256_and_si256(_mm256_permutevar8x32_epi32(packed, unshuffle), vmask);
 }
 
 __attribute__((target("avx2"))) void epilogue_avx2(const std::int32_t* acc,
@@ -359,28 +452,40 @@ __attribute__((target("avx2"))) void epilogue_avx2(const std::int32_t* acc,
     const __m256d vqb = _mm256_set1_pd(static_cast<double>(qb));
     const __m256 vscale = _mm256_set1_ps(scale);
     std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        _mm256_storeu_ps(out + j, epi8_avx2(acc + j, colsum + j, vzw, vqb, vscale));
+    for (; j < n; ++j) out[j] = epilogue_value(acc, colsum, j, zw, qb, scale);
+}
+
+__attribute__((target("avx2"))) void epilogue_codes_avx2(
+    const std::int32_t* acc, const std::int32_t* colsum, std::size_t n, std::int32_t zw,
+    std::int64_t qb, float scale, const CodeParams& q, std::uint8_t* out) {
+    const __m256d vzw = _mm256_set1_pd(static_cast<double>(zw));
+    const __m256d vqb = _mm256_set1_pd(static_cast<double>(qb));
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const __m256 vcode_scale = _mm256_set1_ps(q.scale);
+    const __m256 vzero = _mm256_setzero_ps();
+    const __m256 vqmax = _mm256_set1_ps(static_cast<float>(q.qmax));
+    const __m256i vmask = _mm256_set1_epi8(static_cast<char>(q.mask));
+    std::size_t j = 0;
+    for (; j + 32 <= n; j += 32) {
+        __m256i c[4];
+        for (std::size_t b = 0; b < 4; ++b)
+            c[b] = code8_avx2(epi8_avx2(acc + j + 8 * b, colsum + j + 8 * b, vzw, vqb, vscale),
+                              vcode_scale, vzero, vqmax);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j), pack32_avx2(c, vmask));
+    }
+    // Short rows (small planes at batch 1): 8 columns a step, then one
+    // by one.
     for (; j + 8 <= n; j += 8) {
-        const __m128i a_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + j));
-        const __m128i a_hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + j + 4));
-        const __m128i c_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(colsum + j));
-        const __m128i c_hi =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(colsum + j + 4));
-        const __m256d r_lo = _mm256_add_pd(
-            _mm256_sub_pd(_mm256_cvtepi32_pd(a_lo),
-                          _mm256_mul_pd(vzw, _mm256_cvtepi32_pd(c_lo))),
-            vqb);
-        const __m256d r_hi = _mm256_add_pd(
-            _mm256_sub_pd(_mm256_cvtepi32_pd(a_hi),
-                          _mm256_mul_pd(vzw, _mm256_cvtepi32_pd(c_hi))),
-            vqb);
-        const __m256 f = _mm256_set_m128(_mm256_cvtpd_ps(r_hi), _mm256_cvtpd_ps(r_lo));
-        _mm256_storeu_ps(out + j, _mm256_mul_ps(f, vscale));
+        const __m256i c[4] = {code8_avx2(epi8_avx2(acc + j, colsum + j, vzw, vqb, vscale),
+                                         vcode_scale, vzero, vqmax),
+                              _mm256_setzero_si256(), _mm256_setzero_si256(),
+                              _mm256_setzero_si256()};
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + j),
+                         _mm256_castsi256_si128(pack32_avx2(c, vmask)));
     }
-    for (; j < n; ++j) {
-        const std::int64_t corrected =
-            static_cast<std::int64_t>(acc[j]) - static_cast<std::int64_t>(zw) * colsum[j] + qb;
-        out[j] = static_cast<float>(corrected) * scale;
-    }
+    for (; j < n; ++j) out[j] = quantize_code(epilogue_value(acc, colsum, j, zw, qb, scale), q);
 }
 
 __attribute__((target("sse4.1"))) void colsum_sse41(const std::uint8_t* cols,
@@ -433,67 +538,119 @@ __attribute__((target("avx2"))) void colsum_avx2(const std::uint8_t* cols,
     }
 }
 
-/// One 4-float quantize step (lambdas cannot carry target attributes, so
-/// these helpers are standalone and force-inlined into their callers).
-__attribute__((target("sse4.1"), always_inline)) inline __m128i quant4_sse41(
-    const float* in, __m128 vscale, __m128 vzp, __m128 vzero, __m128 vqmax) {
-    __m128 q = _mm_div_ps(_mm_loadu_ps(in), vscale);
-    q = _mm_round_ps(q, _MM_FROUND_CUR_DIRECTION);  // == nearbyint
-    q = _mm_min_ps(_mm_max_ps(_mm_add_ps(q, vzp), vzero), vqmax);
-    return _mm_cvtps_epi32(q);  // integral-valued: conversion is exact
-}
-
-__attribute__((target("sse4.1"))) void quantize_u8_sse41(
-    const float* in, std::size_t n, float scale, std::int32_t zero_point,
-    std::int32_t qmax, std::uint8_t mask, std::uint8_t* out) {
-    const __m128 vscale = _mm_set1_ps(scale);
-    const __m128 vzp = _mm_set1_ps(static_cast<float>(zero_point));
+__attribute__((target("sse4.1"))) void quantize_u8_sse41(const float* in, std::size_t n,
+                                                         const CodeParams& q,
+                                                         std::uint8_t* out) {
+    const __m128 vscale = _mm_set1_ps(q.scale);
     const __m128 vzero = _mm_setzero_ps();
-    const __m128 vqmax = _mm_set1_ps(static_cast<float>(qmax));
-    const __m128i vmask = _mm_set1_epi8(static_cast<char>(mask));
+    const __m128 vqmax = _mm_set1_ps(static_cast<float>(q.qmax));
+    const __m128i vmask = _mm_set1_epi8(static_cast<char>(q.mask));
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
-        const __m128i p01 = _mm_packus_epi32(quant4_sse41(in + i, vscale, vzp, vzero, vqmax),
-                                             quant4_sse41(in + i + 4, vscale, vzp, vzero, vqmax));
-        const __m128i p23 = _mm_packus_epi32(quant4_sse41(in + i + 8, vscale, vzp, vzero, vqmax),
-                                             quant4_sse41(in + i + 12, vscale, vzp, vzero, vqmax));
-        const __m128i bytes = _mm_and_si128(_mm_packus_epi16(p01, p23), vmask);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), bytes);
+        __m128i c[4];
+        for (std::size_t b = 0; b < 4; ++b)
+            c[b] = code4_sse41(_mm_loadu_ps(in + i + 4 * b), vscale, vzero, vqmax);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), pack16_sse41(c, vmask));
     }
-    quantize_u8_tail(in, i, n, scale, zero_point, qmax, mask, out);
+    quantize_u8_range(in, i, n, q, out);
 }
 
-__attribute__((target("avx2"), always_inline)) inline __m256i quant8_avx2(
-    const float* in, __m256 vscale, __m256 vzp, __m256 vzero, __m256 vqmax) {
-    __m256 q = _mm256_div_ps(_mm256_loadu_ps(in), vscale);
-    q = _mm256_round_ps(q, _MM_FROUND_CUR_DIRECTION);  // == nearbyint
-    q = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(q, vzp), vzero), vqmax);
-    return _mm256_cvtps_epi32(q);  // integral-valued: conversion is exact
-}
-
-__attribute__((target("avx2"))) void quantize_u8_avx2(
-    const float* in, std::size_t n, float scale, std::int32_t zero_point,
-    std::int32_t qmax, std::uint8_t mask, std::uint8_t* out) {
-    const __m256 vscale = _mm256_set1_ps(scale);
-    const __m256 vzp = _mm256_set1_ps(static_cast<float>(zero_point));
+__attribute__((target("avx2"))) void quantize_u8_avx2(const float* in, std::size_t n,
+                                                      const CodeParams& q, std::uint8_t* out) {
+    const __m256 vscale = _mm256_set1_ps(q.scale);
     const __m256 vzero = _mm256_setzero_ps();
-    const __m256 vqmax = _mm256_set1_ps(static_cast<float>(qmax));
-    const __m256i vmask = _mm256_set1_epi8(static_cast<char>(mask));
-    // packus interleaves 128-bit lanes; this permutation restores byte
-    // order after the two packing steps.
-    const __m256i unshuffle = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    const __m256 vqmax = _mm256_set1_ps(static_cast<float>(q.qmax));
+    const __m256i vmask = _mm256_set1_epi8(static_cast<char>(q.mask));
     std::size_t i = 0;
     for (; i + 32 <= n; i += 32) {
-        const __m256i p01 = _mm256_packus_epi32(quant8_avx2(in + i, vscale, vzp, vzero, vqmax),
-                                                quant8_avx2(in + i + 8, vscale, vzp, vzero, vqmax));
-        const __m256i p23 = _mm256_packus_epi32(quant8_avx2(in + i + 16, vscale, vzp, vzero, vqmax),
-                                                quant8_avx2(in + i + 24, vscale, vzp, vzero, vqmax));
-        const __m256i packed = _mm256_packus_epi16(p01, p23);
-        const __m256i bytes =
-            _mm256_and_si256(_mm256_permutevar8x32_epi32(packed, unshuffle), vmask);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), bytes);
+        __m256i c[4];
+        for (std::size_t b = 0; b < 4; ++b)
+            c[b] = code8_avx2(_mm256_loadu_ps(in + i + 8 * b), vscale, vzero, vqmax);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), pack32_avx2(c, vmask));
     }
-    quantize_u8_tail(in, i, n, scale, zero_point, qmax, mask, out);
+    quantize_u8_range(in, i, n, q, out);
+}
+
+/// Byte max-pool step: pmaxub of the two input rows `v` already holds
+/// the vertical maxima of, then of each byte pair (the odd byte shifted
+/// down onto the even one); the maxima sit in the low byte of each word,
+/// ready for the word pack.
+__attribute__((target("sse4.1"), always_inline)) inline __m128i pair_max_sse41(__m128i v) {
+    return _mm_and_si128(_mm_max_epu8(v, _mm_srli_epi16(v, 8)), _mm_set1_epi16(0x00FF));
+}
+
+__attribute__((target("sse4.1"), always_inline)) inline __m128i load16(const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// One output row of the byte max-pool from input rows r0 and r1: 16, 8
+/// or 4 outputs a step, the rest one by one.
+__attribute__((target("sse4.1"), always_inline)) inline void maxpool_row_u8(
+    const std::uint8_t* r0, const std::uint8_t* r1, std::size_t ow, std::uint8_t* o) {
+    std::size_t x = 0;
+    for (; x + 16 <= ow; x += 16) {
+        const __m128i lo = pair_max_sse41(_mm_max_epu8(load16(r0 + 2 * x), load16(r1 + 2 * x)));
+        const __m128i hi =
+            pair_max_sse41(_mm_max_epu8(load16(r0 + 2 * x + 16), load16(r1 + 2 * x + 16)));
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(o + x), _mm_packus_epi16(lo, hi));
+    }
+    if (x + 8 <= ow) {
+        const __m128i v = pair_max_sse41(_mm_max_epu8(load16(r0 + 2 * x), load16(r1 + 2 * x)));
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(o + x), _mm_packus_epi16(v, v));
+        x += 8;
+    }
+    if (x + 4 <= ow) {
+        const __m128i v = pair_max_sse41(
+            _mm_max_epu8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0 + 2 * x)),
+                         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1 + 2 * x))));
+        const std::int32_t four = _mm_cvtsi128_si32(_mm_packus_epi16(v, v));
+        std::memcpy(o + x, &four, sizeof four);
+        x += 4;
+    }
+    for (; x < ow; ++x)
+        o[x] = std::max(std::max(r0[2 * x], r0[2 * x + 1]), std::max(r1[2 * x], r1[2 * x + 1]));
+}
+
+/// Byte max-pool (see MaxPoolU8Fn), SSE2 instructions only. When the
+/// output halves the plane exactly, the row pairs of all planes form one
+/// stream (pair q at in + 2wq, its output row at out + ow·q), and the
+/// narrow rows of the zoo's pools are taken several pairs a step:
+/// 16 outputs from 2 pairs of 16-wide rows, or from 4 pairs of 8-wide
+/// ones, whose two rows the 64-bit unpacks put side by side.
+__attribute__((target("sse4.1"))) void maxpool_u8_sse41(const std::uint8_t* in,
+                                                        std::size_t planes, std::size_t h,
+                                                        std::size_t w, std::size_t oh,
+                                                        std::size_t ow, std::uint8_t* out) {
+    if (h == 2 * oh && w == 2 * ow && (w == 8 || w == 16)) {
+        const std::size_t pairs = planes * oh;
+        std::size_t q = 0;
+        if (w == 16) {
+            for (; q + 2 <= pairs; q += 2) {
+                const std::uint8_t* p = in + 32 * q;
+                const __m128i a = pair_max_sse41(_mm_max_epu8(load16(p), load16(p + 16)));
+                const __m128i b = pair_max_sse41(_mm_max_epu8(load16(p + 32), load16(p + 48)));
+                _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 8 * q), _mm_packus_epi16(a, b));
+            }
+        } else {
+            for (; q + 4 <= pairs; q += 4) {
+                const std::uint8_t* p = in + 16 * q;
+                const __m128i p0 = load16(p), p1 = load16(p + 16);
+                const __m128i p2 = load16(p + 32), p3 = load16(p + 48);
+                const __m128i a = pair_max_sse41(
+                    _mm_max_epu8(_mm_unpacklo_epi64(p0, p1), _mm_unpackhi_epi64(p0, p1)));
+                const __m128i b = pair_max_sse41(
+                    _mm_max_epu8(_mm_unpacklo_epi64(p2, p3), _mm_unpackhi_epi64(p2, p3)));
+                _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4 * q), _mm_packus_epi16(a, b));
+            }
+        }
+        for (; q < pairs; ++q) maxpool_row_u8(in + 2 * w * q, in + 2 * w * q + w, ow, out + ow * q);
+        return;
+    }
+    for (std::size_t p = 0; p < planes; ++p)
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            const std::uint8_t* r0 = in + p * h * w + 2 * oy * w;
+            maxpool_row_u8(r0, r0 + w, ow, out + (p * oh + oy) * ow);
+        }
 }
 
 #endif  // RAQ_SIMD_X86
@@ -540,18 +697,16 @@ void gemm_u8_neon(const std::uint8_t* w, std::size_t w_stride, std::size_t rows,
 
 #if defined(__aarch64__)
 
-void quantize_u8_neon(const float* in, std::size_t n, float scale,
-                      std::int32_t zero_point, std::int32_t qmax, std::uint8_t mask,
+void quantize_u8_neon(const float* in, std::size_t n, const CodeParams& q,
                       std::uint8_t* out) {
-    const float32x4_t vscale = vdupq_n_f32(scale);
-    const float32x4_t vzp = vdupq_n_f32(static_cast<float>(zero_point));
+    const float32x4_t vscale = vdupq_n_f32(q.scale);
     const float32x4_t vzero = vdupq_n_f32(0.0f);
-    const float32x4_t vqmax = vdupq_n_f32(static_cast<float>(qmax));
-    const uint8x8_t vmask = vdup_n_u8(mask);
+    const float32x4_t vqmax = vdupq_n_f32(static_cast<float>(q.qmax));
+    const uint8x8_t vmask = vdup_n_u8(q.mask);
     const auto quant4 = [&](std::size_t i) {
-        float32x4_t q = vrndiq_f32(vdivq_f32(vld1q_f32(in + i), vscale));  // frinti == nearbyint
-        q = vminq_f32(vmaxq_f32(vaddq_f32(q, vzp), vzero), vqmax);
-        return vreinterpretq_u32_s32(vcvtq_s32_f32(q));  // integral-valued: exact
+        float32x4_t v = vrndiq_f32(vdivq_f32(vld1q_f32(in + i), vscale));  // frinti == nearbyint
+        v = vminq_f32(vmaxq_f32(v, vzero), vqmax);
+        return vreinterpretq_u32_s32(vcvtq_s32_f32(v));  // integral-valued: exact
     };
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -560,7 +715,7 @@ void quantize_u8_neon(const float* in, std::size_t n, float scale,
         const uint8x8_t bytes = vand_u8(vmovn_u16(vcombine_u16(lo, hi)), vmask);
         vst1_u8(out + i, bytes);
     }
-    quantize_u8_tail(in, i, n, scale, zero_point, qmax, mask, out);
+    quantize_u8_range(in, i, n, q, out);
 }
 
 #endif  // __aarch64__
@@ -622,7 +777,7 @@ KernelTier active_tier() {
 
 QuantizeU8Fn quantize_u8_kernel(KernelTier tier) {
     const std::vector<KernelTier>& tiers = available_tiers();
-    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) return nullptr;
+    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) return &quantize_u8_scalar;
     switch (tier) {
 #if RAQ_SIMD_X86
         case KernelTier::Sse41:
@@ -634,6 +789,21 @@ QuantizeU8Fn quantize_u8_kernel(KernelTier tier) {
 #if defined(__aarch64__)
         case KernelTier::Neon:
             return &quantize_u8_neon;
+#endif
+        default:
+            return &quantize_u8_scalar;
+    }
+}
+
+MaxPoolU8Fn maxpool_u8_kernel(KernelTier tier) {
+    const std::vector<KernelTier>& tiers = available_tiers();
+    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) return nullptr;
+    switch (tier) {
+#if RAQ_SIMD_X86
+        case KernelTier::Sse41:
+        case KernelTier::Avx2:
+        case KernelTier::AvxVnni:
+            return &maxpool_u8_sse41;
 #endif
         default:
             return nullptr;
@@ -670,6 +840,22 @@ EpilogueFn epilogue_kernel(KernelTier tier) {
         case KernelTier::Avx2:
         case KernelTier::AvxVnni:
             return &epilogue_avx2;
+#endif
+        default:
+            return nullptr;
+    }
+}
+
+EpilogueCodesFn epilogue_codes_kernel(KernelTier tier) {
+    const std::vector<KernelTier>& tiers = available_tiers();
+    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) return nullptr;
+    switch (tier) {
+#if RAQ_SIMD_X86
+        case KernelTier::Sse41:
+            return &epilogue_codes_sse41;
+        case KernelTier::Avx2:
+        case KernelTier::AvxVnni:
+            return &epilogue_codes_avx2;
 #endif
         default:
             return nullptr;

@@ -27,6 +27,8 @@
 // AVX2/SSE4.1/VNNI instruction can leak into always-executed code.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -137,6 +139,31 @@ struct PackedKernels {
 /// (scalar and NEON keep the unpacked kernels).
 [[nodiscard]] PackedKernels packed_kernels(KernelTier tier);
 
+/// Parameters of u8 activation codes, zero-point 0 (every activation's):
+/// the reading conv's scale, qmax = 2^bits − 1 and LSB-truncation mask.
+struct CodeParams {
+    float scale = 1.0f;
+    std::int32_t qmax = 255;
+    std::uint8_t mask = 0xFF;
+
+    [[nodiscard]] bool operator==(const CodeParams& o) const {
+        return scale == o.scale && qmax == o.qmax && mask == o.mask;
+    }
+};
+
+/// The scalar activation quantize every path shares:
+///   u8(clamp(nearbyint(x / scale), 0, qmax)) & mask
+/// — quant::QuantParams::quantize at zero-point 0, then the mask. Anything
+/// that does not round above 0, NaN included, is code 0 without reaching
+/// the int cast (a NaN cast is undefined behaviour); `r > 0 ? r : 0` is
+/// one maxss, not a branch on the value's sign.
+[[nodiscard]] inline std::uint8_t quantize_code(float x, const CodeParams& q) {
+    const float r = std::nearbyint(x / q.scale);
+    const float clamped = std::min(r > 0.0f ? r : 0.0f, static_cast<float>(q.qmax));
+    return static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(static_cast<std::int32_t>(clamped)) & q.mask);
+}
+
 /// Conv epilogue over one contiguous output segment:
 ///   out[j] = float(i64(acc[j]) − i64(zw)·colsum[j] + qb) · scale
 /// After the packed pipeline, `zw` is the weight zero-point minus
@@ -153,23 +180,45 @@ using EpilogueFn = void (*)(const std::int32_t* acc, const std::int32_t* colsum,
                             float* out);
 [[nodiscard]] EpilogueFn epilogue_kernel(KernelTier tier);
 
+/// The same epilogue writing the reading convs' activation codes:
+///   out[j] = quantize_code(float(i64(acc[j]) − i64(zw)·colsum[j] + qb) · scale, q)
+/// The EpilogueFn steps, then the QuantizeU8Fn steps in registers: the f32
+/// product first, then the f32 division by q.scale (never one folded
+/// ratio, never a reciprocal), round, clamp and mask — the code the
+/// reader's own quantize makes of the float output. Same caller rules as
+/// EpilogueFn; null for tiers without one (AVX-VNNI shares AVX2's).
+using EpilogueCodesFn = void (*)(const std::int32_t* acc, const std::int32_t* colsum,
+                                 std::size_t n, std::int32_t zw, std::int64_t qb, float scale,
+                                 const CodeParams& q, std::uint8_t* out);
+[[nodiscard]] EpilogueCodesFn epilogue_codes_kernel(KernelTier tier);
+
 /// Column-sum reduction over the im2col matrix: colsum[j] = Σ_k cols[k][j]
 /// (exact integer adds — any tier is bit-identical). Null ⇒ scalar loop.
 using ColSumFn = void (*)(const std::uint8_t* cols, std::size_t kdim, std::size_t n,
                           std::int32_t* colsum);
 [[nodiscard]] ColSumFn colsum_kernel(KernelTier tier);
 
-/// Activation quantization: out[i] = u8(clamp(nearbyint(in[i] / scale) +
-/// zero_point, 0, qmax)) & mask — the exact arithmetic of
-/// quant::QuantParams::quantize plus the LSB-truncation mask. The vector
-/// variants use the hardware round-with-current-mode instruction
-/// (roundps / frinti), which equals nearbyint element for element under
-/// the default FP environment, and the IEEE division is exact either way
-/// — so every tier produces identical codes. Returns null for tiers with
-/// no vector round (scalar, 32-bit ARM); callers keep their scalar loop.
-using QuantizeU8Fn = void (*)(const float* in, std::size_t n, float scale,
-                              std::int32_t zero_point, std::int32_t qmax,
-                              std::uint8_t mask, std::uint8_t* out);
+/// Activation quantization: out[i] = quantize_code(in[i], q). The vector
+/// variants use the hardware round-with-current-mode instruction (roundps
+/// / frinti), which equals nearbyint element for element under the default
+/// FP environment, and the IEEE division is exact either way; their max
+/// against 0 returns the 0 operand for a NaN — so every tier produces
+/// identical codes. `out` may overlay `in` (a ReLU quantizing in place):
+/// each code is stored after the float it overwrites was loaded. Never
+/// null: tiers without a vector body (scalar, 32-bit ARM), or unavailable
+/// on this machine, get the scalar loop.
+using QuantizeU8Fn = void (*)(const float* in, std::size_t n, const CodeParams& q,
+                              std::uint8_t* out);
 [[nodiscard]] QuantizeU8Fn quantize_u8_kernel(KernelTier tier);
+
+/// 2×2 stride-2 max-pool over activation codes whose windows all lie
+/// inside their planes (2·oh ≤ h, 2·ow ≤ w): `planes` planes of h×w in,
+/// oh×ow out. Codes are integers, so max is exact in any order; the x86
+/// tiers take pmaxub over each row pair, then over adjacent bytes. Null
+/// for tiers without a vector body (callers keep the scalar fold).
+using MaxPoolU8Fn = void (*)(const std::uint8_t* in, std::size_t planes, std::size_t h,
+                             std::size_t w, std::size_t oh, std::size_t ow,
+                             std::uint8_t* out);
+[[nodiscard]] MaxPoolU8Fn maxpool_u8_kernel(KernelTier tier);
 
 }  // namespace raq::exec::kernels_simd

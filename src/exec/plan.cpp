@@ -30,8 +30,17 @@ public:
             if (remaining > 0) free_[offset + size] = remaining;
             return offset;
         }
-        const std::size_t offset = high_water_;
-        high_water_ += size;
+        // No region fits: a free region that ends at the high-water mark
+        // grows instead of a fresh region after it.
+        std::size_t offset = high_water_;
+        if (!free_.empty()) {
+            const auto last = std::prev(free_.end());
+            if (last->first + last->second == high_water_) {
+                offset = last->first;
+                free_.erase(last);
+            }
+        }
+        high_water_ = offset + size;
         return offset;
     }
 
@@ -186,14 +195,25 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
     // ---- arena assignment: allocate each op's output right before the op
     // runs (its inputs are still live, so an output region can never alias
     // an input region), release inputs right after their last consumer, so
-    // a freed region is reusable from the next op on.
+    // a freed region is reusable from the next op on. The one exception: a
+    // ReLU that is the only reader of its input takes the input's region
+    // over, one joined lifetime (float runs apply it in place, runs on
+    // codes skip it).
+    std::vector<int> readers(num_tensors, 0);
+    for (const ir::Op& op : ops)
+        for (const int in : op.inputs) ++readers[static_cast<std::size_t>(in)];
     offsets_.assign(num_tensors, kExternal);
     ArenaAllocator arena;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const int out = ops[i].output;
         const std::size_t out_size = shapes[static_cast<std::size_t>(out)].size();
         total_tensor_floats_ += out_size;
-        offsets_[static_cast<std::size_t>(out)] = arena.allocate(out_size);
+        const int in0 = ops[i].inputs.at(0);
+        const bool in_place = ops[i].kind == ir::OpKind::Relu &&
+                              readers[static_cast<std::size_t>(in0)] == 1 &&
+                              in0 != graph_->input_id() && in0 != graph_->output_id();
+        offsets_[static_cast<std::size_t>(out)] =
+            in_place ? offsets_[static_cast<std::size_t>(in0)] : arena.allocate(out_size);
         // Tensor produced but never consumed (and not the output): its
         // region is reusable immediately after this op.
         if (last_use[static_cast<std::size_t>(out)] < static_cast<int>(i))
@@ -204,6 +224,7 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
         for (const int in : dead) {
             if (last_use[static_cast<std::size_t>(in)] != static_cast<int>(i)) continue;
             if (in == graph_->input_id()) continue;  // external, not in the arena
+            if (in_place) continue;                  // the region is the output's now
             arena.release(offsets_[static_cast<std::size_t>(in)],
                           shapes[static_cast<std::size_t>(in)].size());
         }

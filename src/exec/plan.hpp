@@ -15,7 +15,8 @@
 //    regions whose tensors are dead (intermediates alias each other, so
 //    peak memory is the live-set maximum, not the tensor-count sum). An
 //    op's output is allocated before its dying inputs are released, and a
-//    freed region is reusable from the next op on,
+//    freed region is reusable from the next op on; a ReLU that is its
+//    input's only reader takes the input's region over (in place),
 //  - per-convolution geometry (output dims, im2col extents, whether the
 //    integer accumulator fits 32 bits, the im2col path and its per-tap
 //    shifts and masks).

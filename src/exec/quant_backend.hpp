@@ -10,6 +10,13 @@
 // operands (q_a·2^α)(q_w·2^β) and the result is shifted back in software.
 // Numerically an identity, but it moves the product's MSB — accounted for
 // by narrowing the injector's register view, exactly as the seed did.
+//
+// Integer handoff (backend.hpp, Handoff): bind() decides, once per bound
+// payload, which tensors travel as u8 activation codes, from the
+// payload's topology and activation parameters. A conv whose output is
+// codes writes them from its epilogue (every GEMM path, the stats path
+// and the injection path reach the one epilogue_rows); a conv whose
+// input is codes skips its quantize. The ExecPlan stays topology-only.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +37,16 @@ struct QuantExecStats {
 
 class QuantBackend final : public Backend {
 public:
-    explicit QuantBackend(const quant::QuantizedGraph& qgraph) : qgraph_(&qgraph) {
+    explicit QuantBackend(const quant::QuantizedGraph& qgraph) {
         set_kernel_tier(kernels_simd::active_tier());
+        bind(qgraph);
     }
 
     /// Swap the executed graph (same topology: re-quantization replaces
-    /// the payload, not the structure). The caller keeps `qgraph` alive
-    /// for as long as this backend may run.
-    void bind(const quant::QuantizedGraph& qgraph) { qgraph_ = &qgraph; }
+    /// the payload, not the structure) and decide its integer handoff.
+    /// The caller keeps `qgraph` alive, and its payload unchanged, for as
+    /// long as this backend may run it.
+    void bind(const quant::QuantizedGraph& qgraph);
     [[nodiscard]] const quant::QuantizedGraph& bound() const { return *qgraph_; }
 
     /// Per-run fault hooks (injector invoked once per MAC product, in the
@@ -55,25 +64,29 @@ public:
         tier_ = tier;
         const bool scalar = tier == kernels_simd::KernelTier::Scalar;
         simd_kernel_ = scalar ? nullptr : kernels_simd::gemm_u8_kernel(tier);
-        packed_ = scalar ? kernels_simd::PackedKernels{} : kernels_simd::packed_kernels(tier);
-        quantize_kernel_ = scalar ? nullptr : kernels_simd::quantize_u8_kernel(tier);
-        epilogue_kernel_ = scalar ? nullptr : kernels_simd::epilogue_kernel(tier);
-        colsum_kernel_ = scalar ? nullptr : kernels_simd::colsum_kernel(tier);
+        packed_ = kernels_simd::packed_kernels(tier);
+        epilogue_kernel_ = kernels_simd::epilogue_kernel(tier);
+        epilogue_codes_kernel_ = kernels_simd::epilogue_codes_kernel(tier);
+        colsum_kernel_ = kernels_simd::colsum_kernel(tier);
+        handoff_.quantize = kernels_simd::quantize_u8_kernel(tier);
+        handoff_.maxpool = kernels_simd::maxpool_u8_kernel(tier);
     }
     [[nodiscard]] kernels_simd::KernelTier kernel_tier() const { return tier_; }
 
     void prepare(const ExecPlan& plan, ExecContext& ctx) const override;
     void conv(const ConvCall& call, ExecContext& ctx) override;
+    [[nodiscard]] const Handoff* handoff() const override { return &handoff_; }
 
 private:
-    const quant::QuantizedGraph* qgraph_;
+    const quant::QuantizedGraph* qgraph_ = nullptr;
+    Handoff handoff_;  ///< of the bound payload, with this tier's kernels
     inject::BitFlipInjector* injector_ = nullptr;
     QuantExecStats* stats_ = nullptr;
     kernels_simd::KernelTier tier_ = kernels_simd::KernelTier::Scalar;
     kernels_simd::GemmU8Fn simd_kernel_ = nullptr;          ///< unpacked SIMD GEMM (NEON)
     kernels_simd::PackedKernels packed_{};                  ///< x86 GEMM pipeline
-    kernels_simd::QuantizeU8Fn quantize_kernel_ = nullptr;  ///< null ⇒ scalar loop
     kernels_simd::EpilogueFn epilogue_kernel_ = nullptr;    ///< null ⇒ scalar epilogue
+    kernels_simd::EpilogueCodesFn epilogue_codes_kernel_ = nullptr;  ///< null ⇒ scalar
     kernels_simd::ColSumFn colsum_kernel_ = nullptr;        ///< null ⇒ scalar colsum
 };
 

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <stdexcept>
@@ -428,6 +429,15 @@ bool Server::EventLoop::handle_frame(Connection& conn, std::uint64_t conn_id,
     if (hdr.model_id != srv->config_.model_id) {
         encode_blob_response(conn.wbuf, Status::BadRequest, tag,
                              "unknown model id " + std::to_string(hdr.model_id));
+        srv->responses_.fetch_add(1, std::memory_order_relaxed);
+        if (srv->m_responses_) srv->m_responses_->add(1);
+        return true;
+    }
+    // A NaN or infinite scale or zero-point dequantizes to NaN pixels:
+    // meaningless logits, not a request to serve.
+    if (!std::isfinite(hdr.scale) || !std::isfinite(hdr.zero_point)) {
+        encode_blob_response(conn.wbuf, Status::BadRequest, tag,
+                             "non-finite dequantization scale or zero-point");
         srv->responses_.fetch_add(1, std::memory_order_relaxed);
         if (srv->m_responses_) srv->m_responses_->add(1);
         return true;

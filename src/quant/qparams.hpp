@@ -17,9 +17,13 @@ struct QuantParams {
 
     [[nodiscard]] std::int32_t qmax() const { return (1 << bits) - 1; }
 
+    /// clamp(nearbyint(x / scale) + zero_point, 0, qmax). Anything that
+    /// does not land above 0, NaN included, is 0 without reaching the int
+    /// cast (std::clamp lets a NaN through, and its cast is undefined).
     [[nodiscard]] std::int32_t quantize(float x) const {
         const float q = std::nearbyint(x / scale) + static_cast<float>(zero_point);
-        return static_cast<std::int32_t>(std::clamp(q, 0.0f, static_cast<float>(qmax())));
+        if (!(q > 0.0f)) return 0;
+        return static_cast<std::int32_t>(std::min(q, static_cast<float>(qmax())));
     }
 
     [[nodiscard]] float dequantize(std::int64_t q) const {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -280,11 +281,24 @@ TEST(ExecPlan, ArenaNeverOverlapsLiveTensorsOnEveryZooTopology) {
     // The one arena rule: a tensor owns its region from its producer op
     // through its last consumer (the graph output through the end of the
     // run). Two tensors live at a common op must occupy disjoint ranges,
-    // which includes an op's output against the inputs it reads.
+    // which includes an op's output against the inputs it reads. The one
+    // exception is an in-place pair: a ReLU that is the only reader of its
+    // (non-input, non-output) input takes the input's region over, so the
+    // two must share exactly that region.
     for (const std::string& name : nn::all_networks()) {
         const ir::Graph graph = nn::make_network(name).export_ir();  // untrained
         const auto& ops = graph.ops();
         const std::vector<int> last_use = ir::tensor_last_use(graph);
+        std::vector<int> readers(static_cast<std::size_t>(graph.num_tensors()), 0);
+        for (const ir::Op& op : ops)
+            for (const int in : op.inputs) ++readers[static_cast<std::size_t>(in)];
+        std::vector<int> joined_to(readers.size(), -1);  // ReLU output -> its input
+        for (const ir::Op& op : ops) {
+            const int in = op.inputs.at(0);
+            if (op.kind == ir::OpKind::Relu && readers[static_cast<std::size_t>(in)] == 1 &&
+                in != graph.input_id() && in != graph.output_id())
+                joined_to[static_cast<std::size_t>(op.output)] = in;
+        }
         for (const int capacity : {1, 8}) {
             const exec::ExecPlan plan(graph, exec::PlanOptions{capacity});
             const std::vector<tensor::Shape> shapes = ir::infer_shapes(graph, capacity);
@@ -308,6 +322,11 @@ TEST(ExecPlan, ArenaNeverOverlapsLiveTensorsOnEveryZooTopology) {
                 for (std::size_t b = a + 1; b < live.size(); ++b) {
                     const Live& x = live[a];
                     const Live& y = live[b];
+                    if (joined_to[static_cast<std::size_t>(y.id)] == x.id) {
+                        EXPECT_EQ(x.begin, y.begin) << name << ": ReLU " << y.id
+                                                    << " does not run in place over " << x.id;
+                        continue;
+                    }
                     if (x.last_op < y.first_op || y.last_op < x.first_op) continue;
                     EXPECT_TRUE(x.end <= y.begin || y.end <= x.begin)
                         << name << " at capacity " << capacity << ": tensors " << x.id
@@ -885,6 +904,347 @@ TEST(ExecPlanCache, RepeatedRequantizationsRecompileZeroPlans) {
     EXPECT_LE(after.misses, before.misses + 1);
     // ...and every re-quantization after the first resolves from cache.
     EXPECT_GE(after.hits, before.hits + 3);
+}
+
+// ------------------------------------------------------ integer handoff
+
+/// One quantized run of `plan` on `tier`; with a (no-op) visit, which
+/// keeps every tensor float, it is the float-handoff reference of the
+/// same plan, payload and tier.
+tensor::Tensor run_on_tier(const quant::QuantizedGraph& qgraph, const exec::ExecPlan& plan,
+                           exec::kernels_simd::KernelTier tier, tensor::TensorView batch,
+                           bool visited, quant::QuantExecStats* stats = nullptr) {
+    exec::QuantBackend backend(qgraph);
+    backend.set_kernel_tier(tier);
+    backend.set_fault_hooks(nullptr, stats);
+    exec::ExecContext ctx;
+    exec::RunOptions options;
+    if (visited) options.visit = [](int, tensor::TensorView) {};
+    return exec::run(plan, backend, ctx, batch, options);
+}
+
+/// Number of tensors the backend bound to `qgraph` hands off as codes.
+std::size_t code_tensors(const quant::QuantizedGraph& qgraph) {
+    const exec::QuantBackend backend(qgraph);
+    std::size_t count = 0;
+    for (const auto& c : backend.handoff()->codes) count += c ? 1 : 0;
+    return count;
+}
+
+TEST(ExecHandoff, ZooRunsEqualVisitedRunsAndTheOracleUnderEveryMethod) {
+    // Codes or floats between convs, the logits are the same bits. On all
+    // 13 zoo topologies (untrained, 16 random calibration images) under
+    // M1–M5, a plain run equals the same run with a no-op visit, which
+    // keeps every tensor float: at n = 1 and 5 on every available tier,
+    // where both also equal the seed oracle, and at n = 100 on the active
+    // tier (CI reruns this suite pinned to avx2 and to scalar).
+    const exec::kernels_simd::KernelTier active = exec::kernels_simd::active_tier();
+    for (const std::string& name : nn::all_networks()) {
+        const ir::Graph graph = nn::make_network(name).export_ir();  // untrained
+        const tensor::Shape in = graph.input_shape();
+        std::mt19937 rng(23);
+        std::uniform_real_distribution<float> dist(-1.0f, 2.0f);
+        const auto images = [&](int n) {
+            tensor::Tensor t({n, in.c, in.h, in.w});
+            for (auto& v : t.vec()) v = dist(rng);
+            return t;
+        };
+        const quant::CalibrationData calib =
+            quant::calibrate(graph, images(16), std::vector<int>(16, 0));
+        const tensor::Tensor batches[] = {images(1), images(5)};
+        const tensor::Tensor batch100 = images(100);
+        const exec::ExecPlan plan5(graph, exec::PlanOptions{5});
+        const exec::ExecPlan plan100(graph, exec::PlanOptions{100});
+        std::size_t handed_off = 0;
+        for (const quant::Method method : quant::all_methods()) {
+            const auto qgraph =
+                quant::quantize_graph(graph, method, quant::QuantConfig{}, calib);
+            const std::string what = name + " " + quant::method_name(method);
+            handed_off += code_tensors(qgraph);
+            for (const tensor::Tensor& batch : batches) {
+                const tensor::Tensor oracle = seedref::run_quantized(qgraph, batch);
+                for (const auto tier : exec::kernels_simd::available_tiers()) {
+                    const std::string at = what + " n=" + std::to_string(batch.shape().n) +
+                                           " " + exec::kernels_simd::tier_name(tier);
+                    ASSERT_NO_FATAL_FAILURE(expect_bitwise_equal(
+                        run_on_tier(qgraph, plan5, tier, batch, false), oracle, at.c_str()));
+                    ASSERT_NO_FATAL_FAILURE(expect_bitwise_equal(
+                        run_on_tier(qgraph, plan5, tier, batch, true), oracle,
+                        (at + " visited").c_str()));
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(expect_bitwise_equal(
+                run_on_tier(qgraph, plan100, active, batch100, false),
+                run_on_tier(qgraph, plan100, active, batch100, true),
+                (what + " n=100").c_str()));
+        }
+        EXPECT_GT(handed_off, 0u) << name << ": no tensor travels as codes";
+    }
+}
+
+/// Hand-set activation parameters of a conv's input: scale, bits and the
+/// LSB-truncation mask.
+void set_act(quant::QConv& qc, float scale, int bits, int mask_bits = 0) {
+    qc.act.scale = scale;
+    qc.act.bits = bits;
+    qc.act_mask_bits = mask_bits;
+}
+
+TEST(ExecHandoff, EdgeChainMatchesTheOracleOnTiesClampsMasksAndDisagreement) {
+    // Every way a code is made, on a small graph whose scales are powers
+    // of two: the producers' float outputs divided by the readers' scales
+    // land on exact .5 ties (nearbyint rounds them to even) and past qmax
+    // (few-bit readers clamp).
+    //   c0 -> r0 -> p0 -> {c1, c2}  epilogue codes, ReLU over codes, a pool
+    //                               on codes, both readers masked (2 LSBs)
+    //   {c1, c2} -> cat -> {c3, c4} a concat of two code tensors
+    //   c3 + c4 -> r1 -> {c5, c6}   a ReLU over a float input feeding two
+    //                               convs: the tensor's single quantize
+    //   c5 -> r2 -> {c7, c8}        readers that disagree on scale: r2 and
+    //                               c5 stay float
+    std::mt19937 rng(71);
+    ir::Graph g;
+    const int in = g.add_input({1, 3, 6, 6});
+    const int c0 = g.add(conv_op(in, 3, 4, 3, 1, 1, rng));
+    const int r0 = g.add(relu_op(c0));
+    const int p0 = g.add(pool_op(r0, 2, 2));
+    const int c1 = g.add(conv_op(p0, 4, 3, 1, 1, 0, rng));
+    const int c2 = g.add(conv_op(p0, 4, 3, 3, 1, 1, rng));
+    ir::Op cat;
+    cat.kind = ir::OpKind::Concat;
+    cat.inputs = {c1, c2};
+    const int cc = g.add(cat);
+    const int c3 = g.add(conv_op(cc, 6, 4, 1, 1, 0, rng));
+    const int c4 = g.add(conv_op(cc, 6, 4, 3, 1, 1, rng));
+    ir::Op add;
+    add.kind = ir::OpKind::Add;
+    add.inputs = {c3, c4};
+    const int sum = g.add(add);
+    const int r1 = g.add(relu_op(sum));
+    const int c5 = g.add(conv_op(r1, 4, 4, 1, 1, 0, rng));
+    const int c6 = g.add(conv_op(r1, 4, 4, 1, 1, 0, rng));
+    const int r2 = g.add(relu_op(c5));
+    const int c7 = g.add(conv_op(r2, 4, 4, 1, 1, 0, rng));
+    const int c8 = g.add(conv_op(r2, 4, 4, 1, 1, 0, rng));
+    add.inputs = {c7, c8};
+    const int sum2 = g.add(add);
+    add.inputs = {sum2, c6};
+    const int sum3 = g.add(add);
+    const int gp = g.add(gap_op(sum3));
+    g.set_output(g.add(conv_op(gp, 4, 3, 1, 1, 0, rng)));
+
+    tensor::Tensor batch({5, 3, 6, 6});
+    std::uniform_real_distribution<float> dist(-1.0f, 2.0f);
+    for (auto& v : batch.vec()) v = dist(rng);
+    auto qgraph = quant::quantize_graph(g, quant::Method::M2_MinMaxAsymmetric,
+                                        quant::QuantConfig{},
+                                        quant::calibrate(g, batch, std::vector<int>(5, 0)));
+    // A hand-set payload with power-of-two scales: weight codes 0..3 at
+    // zero-point 1 and scale 1/2, small biases, and every activation scale
+    // 1/4 (c8's 1/2). A conv's float output is then corrected·(1/8), and
+    // its readers divide it by 1/4: an odd `corrected` is an exact .5 tie.
+    // Few-bit readers clamp the larger values. The op at index i writes
+    // tensor i + 1 (the input is tensor 0).
+    std::uniform_int_distribution<int> small(0, 3);
+    for (std::size_t op = 0; op < qgraph.graph().ops().size(); ++op) {
+        if (qgraph.graph().ops()[op].kind != ir::OpKind::Conv2d) continue;
+        quant::QConv& q = qgraph.conv(op);
+        for (auto& w : q.qweights) w = static_cast<std::uint8_t>(small(rng));
+        for (auto& wq : q.weight_q) wq = quant::QuantParams{0.5f, 1, 8};
+        for (auto& b : q.qbias) b = small(rng) - 2;
+        set_act(q, 0.25f, 8);
+    }
+    const auto qc = [&](int tensor) -> quant::QConv& {
+        return qgraph.conv(static_cast<std::size_t>(tensor - 1));
+    };
+    set_act(qc(c0), 0.25f, 3);     // the graph input: float, quantized by c0
+    set_act(qc(c1), 0.25f, 4, 2);  // p0's readers agree, masked
+    set_act(qc(c2), 0.25f, 4, 2);
+    set_act(qc(c3), 0.25f, 4);     // cat's readers agree
+    set_act(qc(c4), 0.25f, 4);
+    set_act(qc(c5), 0.25f, 5);     // r1's readers agree
+    set_act(qc(c6), 0.25f, 5);
+    set_act(qc(c7), 0.25f, 6);     // r2's readers disagree on scale
+    set_act(qc(c8), 0.5f, 6);
+
+    const exec::QuantBackend backend(qgraph);
+    const exec::Handoff& h = *backend.handoff();
+    for (const int t : {c0, r0, p0, c1, c2, cc, r1})
+        EXPECT_NE(h.code(t), nullptr) << "tensor " << t << " should travel as codes";
+    for (const int t : {in, c3, c4, sum, c5, r2, c6, c7, c8, sum2, sum3, gp})
+        EXPECT_EQ(h.code(t), nullptr) << "tensor " << t << " should stay float";
+    EXPECT_EQ(h.code(p0)->mask, 0xFC);
+
+    // The oracle's float tensors, divided by their readers' scales, cover
+    // exact ties and values past qmax on every code tensor a conv or a
+    // ReLU writes.
+    const auto all = seedref::walk(
+        qgraph.graph(), batch, [&](std::size_t i, const ir::Op& o, const tensor::Tensor& x) {
+            return seedref::conv_quantized(o, qgraph.conv(i), qgraph.config().padding, x,
+                                           nullptr, nullptr);
+        });
+    for (const int t : {c0, c1, c2, r1}) {
+        const exec::kernels_simd::CodeParams& q = *h.code(t);
+        int ties = 0, clamped = 0;
+        for (const float x : all[static_cast<std::size_t>(t)].vec()) {
+            const float r = x / q.scale;
+            ties += r > 0 && r < static_cast<float>(q.qmax) && r - std::floor(r) == 0.5f;
+            clamped += r > static_cast<float>(q.qmax) + 0.5f;
+        }
+        EXPECT_GT(ties, 0) << "tensor " << t;
+        EXPECT_GT(clamped, 0) << "tensor " << t;
+    }
+
+    const tensor::Tensor oracle = seedref::run_quantized(qgraph, batch);
+    const exec::ExecPlan plan(qgraph.graph(), exec::PlanOptions{5});
+    for (const auto tier : exec::kernels_simd::available_tiers()) {
+        const char* name = exec::kernels_simd::tier_name(tier);
+        expect_bitwise_equal(run_on_tier(qgraph, plan, tier, batch, false), oracle, name);
+        for (int i = 0; i < 5; ++i) {
+            const tensor::TensorView one = batch.batch_view(i, 1);
+            expect_bitwise_equal(
+                run_on_tier(qgraph, plan, tier, one, false),
+                seedref::run_quantized(
+                    qgraph, tensor::Tensor(one.shape, std::vector<float>(
+                                                          one.data, one.data + one.size()))),
+                name);
+        }
+        quant::QuantExecStats stats, ref_stats;
+        expect_bitwise_equal(run_on_tier(qgraph, plan, tier, batch, false, &stats),
+                             seedref::run_quantized(qgraph, batch, nullptr, &ref_stats), name);
+        EXPECT_EQ(stats.max_abs_accumulator, ref_stats.max_abs_accumulator) << name;
+    }
+}
+
+TEST(ExecHandoff, WideAccumulatorWritesCodesOnEveryTier) {
+    // kdim 33,026 passes the int32 bound (kdim·255² > INT32_MAX), so the
+    // first conv runs conv_rows<int64_t>; its ReLU feeds a second conv, so
+    // that path writes codes. With stats attached it takes the scalar
+    // epilogue instead.
+    constexpr int kChannels = 33026;
+    std::mt19937 rng(5);
+    ir::Graph g;
+    const int in = g.add_input({1, kChannels, 1, 1});
+    const int c0 = g.add(conv_op(in, kChannels, 4, 1, 1, 0, rng));
+    const int r0 = g.add(relu_op(c0));
+    g.set_output(g.add(conv_op(r0, 4, 3, 1, 1, 0, rng)));
+    tensor::Tensor batch({3, kChannels, 1, 1});
+    std::uniform_real_distribution<float> dist(-1.0f, 2.0f);
+    for (auto& v : batch.vec()) v = dist(rng);
+    const auto qgraph = quant::quantize_graph(g, quant::Method::M2_MinMaxAsymmetric,
+                                              quant::QuantConfig{},
+                                              quant::calibrate(g, batch, {0, 0, 0}));
+    const exec::ExecPlan plan(qgraph.graph(), exec::PlanOptions{3});
+    ASSERT_FALSE(plan.conv_geom(0)->acc32_safe);
+    const exec::QuantBackend backend(qgraph);
+    EXPECT_NE(backend.handoff()->code(c0), nullptr);
+    quant::QuantExecStats ref_stats;
+    const tensor::Tensor oracle = seedref::run_quantized(qgraph, batch, nullptr, &ref_stats);
+    for (const auto tier : exec::kernels_simd::available_tiers()) {
+        const char* name = exec::kernels_simd::tier_name(tier);
+        expect_bitwise_equal(run_on_tier(qgraph, plan, tier, batch, false), oracle, name);
+        quant::QuantExecStats stats;
+        expect_bitwise_equal(run_on_tier(qgraph, plan, tier, batch, false, &stats), oracle,
+                             name);
+        EXPECT_EQ(stats.max_abs_accumulator, ref_stats.max_abs_accumulator) << name;
+        EXPECT_EQ(stats.accumulator_overflows, ref_stats.accumulator_overflows) << name;
+    }
+}
+
+TEST(ExecSimd, QuantizeKernelsMatchTheScalarExpressionOnEdgeValues) {
+    // Every tier's quantize_u8 and fused epilogue-to-codes kernel against
+    // the scalar expressions (quant::QuantParams::quantize, the masked
+    // code of the scalar epilogue's float) on NaN, ±inf, −0.0, exact .5
+    // ties and values past qmax·scale, at several bit widths and masks.
+    constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kScale = 0.25f;
+    std::vector<float> x;
+    for (const float v : {kNaN, -kNaN, kInf, -kInf, -0.0f, 0.0f, 1e30f, -1e30f})
+        x.push_back(v);
+    for (int k = -8; k <= 300; ++k) x.push_back(kScale * (static_cast<float>(k) + 0.5f));
+    std::mt19937 rng(19);
+    std::uniform_real_distribution<float> dist(-10.0f, 80.0f);
+    while (x.size() % 64 != 37) x.push_back(dist(rng));  // every vector loop and a tail
+    // Epilogue operands: corrected = acc − zw·colsum + qb over the
+    // integers around each tie and past qmax at scale 1/8, read at 1/4.
+    std::vector<std::int32_t> acc(x.size()), colsum(x.size());
+    std::uniform_int_distribution<std::int32_t> small(0, 40);
+    for (std::size_t j = 0; j < acc.size(); ++j) {
+        colsum[j] = small(rng);
+        acc[j] = static_cast<std::int32_t>(j) * 3 - 300 + 2 * colsum[j];
+    }
+    for (const int bits : {8, 6, 4})
+        for (const int mask_bits : {0, 2}) {
+            const quant::QuantParams qp{kScale, 0, bits};
+            const exec::kernels_simd::CodeParams q{
+                kScale, qp.qmax(), static_cast<std::uint8_t>(0xFFu << mask_bits)};
+            std::vector<std::uint8_t> want(x.size()), want_epi(x.size());
+            for (std::size_t i = 0; i < x.size(); ++i) {
+                want[i] = static_cast<std::uint8_t>(qp.quantize(x[i])) & q.mask;
+                const std::int64_t corrected =
+                    std::int64_t{acc[i]} - std::int64_t{2} * colsum[i] + 1;
+                want_epi[i] =
+                    static_cast<std::uint8_t>(qp.quantize(static_cast<float>(corrected) * 0.125f)) &
+                    q.mask;
+            }
+            for (const auto tier : exec::kernels_simd::available_tiers()) {
+                const std::string at = std::string(exec::kernels_simd::tier_name(tier)) +
+                                       " bits " + std::to_string(bits) + " mask " +
+                                       std::to_string(mask_bits);
+                std::vector<std::uint8_t> got(x.size(), 0xA5);
+                exec::kernels_simd::quantize_u8_kernel(tier)(x.data(), x.size(), q, got.data());
+                EXPECT_EQ(got, want) << at;
+                if (const auto epi = exec::kernels_simd::epilogue_codes_kernel(tier)) {
+                    std::fill(got.begin(), got.end(), 0xA5);
+                    epi(acc.data(), colsum.data(), acc.size(), 2, 1, 0.125f, q, got.data());
+                    EXPECT_EQ(got, want_epi) << at << " epilogue";
+                }
+            }
+        }
+}
+
+TEST(ExecKernels, ByteMaxPoolEqualsPoolingFloatsThenQuantizing) {
+    // max(q(a), q(b)) == q(max(a, b)): each tier's byte pool, and the
+    // scalar fold, against pooling the floats and then quantizing, on
+    // widths that reach every step of the vector kernel (16, 8 and 4
+    // outputs and the byte tail; 8- and 16-wide planes several row pairs
+    // a step, with a remainder of single pairs), odd planes, and the
+    // general path.
+    const exec::kernels_simd::CodeParams q{0.5f, 15, 0xFE};
+    const int pools[][2] = {{2, 2}, {3, 2}, {2, 1}};
+    const int planes[][2] = {{2, 2},  {8, 8},   {16, 16}, {6, 8},   {2, 16},
+                             {10, 16}, {10, 10}, {5, 7},   {34, 66}, {1, 1}};
+    std::mt19937 rng(43);
+    std::uniform_real_distribution<float> dist(-2.0f, 10.0f);
+    for (const auto& pool : pools)
+        for (const auto& p : planes) {
+            const tensor::Shape s{3, 1, p[0], p[1]};
+            if (s.h < pool[0] || s.w < pool[0]) continue;
+            const int oh = tensor::conv_out_dim(s.h, pool[0], pool[1], 0);
+            const int ow = tensor::conv_out_dim(s.w, pool[0], pool[1], 0);
+            std::vector<float> x(s.size());
+            for (auto& v : x) v = dist(rng);
+            const std::size_t out_size = static_cast<std::size_t>(s.n * s.c * oh * ow);
+            std::vector<float> pooled(out_size);
+            exec::kernels::maxpool(x.data(), s, pool[0], pool[1], pooled.data(), oh, ow);
+            std::vector<std::uint8_t> codes(x.size()), want(out_size);
+            for (std::size_t i = 0; i < x.size(); ++i)
+                codes[i] = exec::kernels_simd::quantize_code(x[i], q);
+            for (std::size_t i = 0; i < out_size; ++i)
+                want[i] = exec::kernels_simd::quantize_code(pooled[i], q);
+            std::vector<exec::kernels_simd::MaxPoolU8Fn> kernels{nullptr};
+            for (const auto tier : exec::kernels_simd::available_tiers())
+                if (const auto k = exec::kernels_simd::maxpool_u8_kernel(tier)) kernels.push_back(k);
+            for (const auto kernel : kernels) {
+                std::vector<std::uint8_t> got(out_size, 0xA5);
+                exec::kernels::maxpool_u8(codes.data(), s, pool[0], pool[1], got.data(), oh, ow,
+                                          kernel);
+                EXPECT_EQ(got, want) << "pool " << pool[0] << "/" << pool[1] << " plane "
+                                     << s.h << "x" << s.w
+                                     << (kernel != nullptr ? " vector" : " scalar");
+            }
+        }
 }
 
 }  // namespace

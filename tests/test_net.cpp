@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -498,6 +499,35 @@ TEST_F(Net, WrongModelIdIsRejectedNotServed) {
     // Encode against a model id the front-end does not serve.
     std::vector<net::EncodedSample> samples;
     samples.push_back(net::encode_sample(dataset_->test_batch(0, 1), 7));
+
+    net::LoadGenConfig lcfg;
+    lcfg.port = front.port();
+    lcfg.connections = 1;
+    lcfg.model = net::TrafficModel::ClosedLoop;
+    lcfg.total_requests = 4;
+    const net::LoadReport report = net::run_load(lcfg, samples);
+
+    EXPECT_EQ(report.bad, 4u);
+    EXPECT_EQ(report.ok, 0u);
+    EXPECT_TRUE(report.lossless()) << report.to_string();
+
+    front.stop();
+    npu.shutdown();
+}
+
+TEST_F(Net, NonFiniteScaleIsRejectedNotServed) {
+    // A NaN dequantization scale would turn every pixel into NaN: the
+    // request is answered BadRequest, like an unknown model id, and the
+    // connection stays open for the rest.
+    serve::ServeConfig cfg;
+    cfg.num_devices = 1;
+    cfg.num_workers = 1;
+    serve::NpuServer npu(context(), cfg);
+    net::Server front(npu, net::NetConfig{});
+
+    std::vector<net::EncodedSample> samples;
+    samples.push_back(net::encode_sample(dataset_->test_batch(0, 1)));
+    samples.back().header.scale = std::numeric_limits<float>::quiet_NaN();
 
     net::LoadGenConfig lcfg;
     lcfg.port = front.port();
