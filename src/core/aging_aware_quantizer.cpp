@@ -27,10 +27,11 @@ AagResult AgingAwareQuantizer::run(const AagInputs& in, double dvth_mv,
     const auto config = quant::QuantConfig::from_compression(choice->compression);
 
     // Algorithm 1 inner loop, shared with the serving runtime's
-    // RequantJob builds (core/requant_job.cpp).
+    // RequantJob builds (core/requant_job.cpp), in report mode: every
+    // method the natural-order loop scores gets its accuracy.
     MethodSearchResult search =
         search_methods(*in.graph, config, calib, *in.test_images, *in.test_labels,
-                       result.fp32_accuracy, in.accuracy_loss_threshold);
+                       result.fp32_accuracy, in.accuracy_loss_threshold, true);
     result.selected_method = search.selected;
     result.quantized_accuracy = search.accuracy;
     result.all_methods = std::move(search.all_methods);

@@ -9,7 +9,11 @@
 // This is the one-shot reporting entry point (it calibrates and
 // evaluates FP32 per call). The method search itself lives in
 // core::search_methods / core::RequantJob, the reusable build-job form
-// the serving runtime re-runs online.
+// the serving runtime re-runs online. The quantizer runs the search in
+// report mode: once the race has found the winner, it scores the rest
+// of the eval set for every method the natural-order loop scores (all
+// five, or M1 through the winner when it meets the threshold),
+// so all_methods reports each one's accuracy (Table 1, Fig. 4b).
 #pragma once
 
 #include <optional>
@@ -30,7 +34,8 @@ struct AagResult {
     double fp32_accuracy = 0.0;
     double quantized_accuracy = 0.0;
     double accuracy_loss = 0.0;  ///< percentage points vs. FP32
-    std::vector<MethodOutcome> all_methods;  ///< every evaluated method
+    /// The methods scored in library order, each on the whole eval set.
+    std::vector<MethodOutcome> all_methods;
 };
 
 struct AagInputs {

@@ -30,6 +30,11 @@ struct ModelState {
     /// clock from this on every install, so latency/throughput track the
     /// aged silicon instead of the fresh-forever critical path.
     double aged_delay_ps = 0.0;
+    /// Full Algorithm 1 only (both 0 on the fast path): the deployed
+    /// method's accuracy on the eval set, and the eval images the method
+    /// search scored to choose it (at most 5 × the eval set).
+    double eval_accuracy = 0.0;
+    int eval_images_scored = 0;
 };
 
 }  // namespace raq::core

@@ -52,7 +52,10 @@ void gemm_u8_scalar(const std::uint8_t* w, std::size_t w_stride, std::size_t row
 /// without a vector body, the remainder of the vector loops on the rest.
 void quantize_u8_range(const float* in, std::size_t begin, std::size_t n, const CodeParams& q,
                        std::uint8_t* out) {
-    for (std::size_t i = begin; i < n; ++i) out[i] = quantize_code(in[i], q);
+    // A local copy: the byte stores could alias `q` and would force a
+    // reload of its fields per element.
+    const CodeParams p = q;
+    for (std::size_t i = begin; i < n; ++i) out[i] = quantize_code(in[i], p);
 }
 
 void quantize_u8_scalar(const float* in, std::size_t n, const CodeParams& q,

@@ -28,9 +28,9 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace raq::exec::kernels_simd {
@@ -151,17 +151,30 @@ struct CodeParams {
     }
 };
 
+/// v where v > 0, else +0 (a NaN and −0 included), as a bit mask: GCC
+/// compiles the same select against a constant 0 into a branch on the
+/// sign, even spelled as std::max.
+[[nodiscard]] inline float positive_part(float v) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits &= 0u - static_cast<std::uint32_t>(v > 0.0f);
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
 /// The scalar activation quantize every path shares:
-///   u8(clamp(nearbyint(x / scale), 0, qmax)) & mask
-/// — quant::QuantParams::quantize at zero-point 0, then the mask. Anything
-/// that does not round above 0, NaN included, is code 0 without reaching
-/// the int cast (a NaN cast is undefined behaviour); `r > 0 ? r : 0` is
-/// one maxss, not a branch on the value's sign.
+///   u8(nearbyint(clamp(x / scale, 0, qmax))) & mask
+/// — quant::QuantParams::quantize at zero-point 0, then the mask. With
+/// integer bounds, clamping before rounding gives the code rounding
+/// first gives. The lower clamp maps a NaN to 0 before the int cast (a
+/// NaN cast is undefined behaviour). On [0, qmax], (c + 2^23) − 2^23 is
+/// nearbyint in the default rounding mode: no libm call and no branch,
+/// and loops over it vectorize.
 [[nodiscard]] inline std::uint8_t quantize_code(float x, const CodeParams& q) {
-    const float r = std::nearbyint(x / q.scale);
-    const float clamped = std::min(r > 0.0f ? r : 0.0f, static_cast<float>(q.qmax));
+    const float c = std::min(positive_part(x / q.scale), static_cast<float>(q.qmax));
+    const float r = (c + 0x1p23f) - 0x1p23f;
     return static_cast<std::uint8_t>(
-        static_cast<std::uint8_t>(static_cast<std::int32_t>(clamped)) & q.mask);
+        static_cast<std::uint8_t>(static_cast<std::int32_t>(r)) & q.mask);
 }
 
 /// Conv epilogue over one contiguous output segment:

@@ -1,5 +1,7 @@
 #include "quant/qparams.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace raq::quant {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 namespace raq::quant {
@@ -17,13 +16,24 @@ struct QuantParams {
 
     [[nodiscard]] std::int32_t qmax() const { return (1 << bits) - 1; }
 
-    /// clamp(nearbyint(x / scale) + zero_point, 0, qmax). Anything that
-    /// does not land above 0, NaN included, is 0 without reaching the int
-    /// cast (std::clamp lets a NaN through, and its cast is undefined).
+    /// clamp(nearbyint(x / scale) + zero_point, 0, qmax), as
+    /// nearbyint(clamp(x / scale, −zero_point, qmax − zero_point)) +
+    /// zero_point: with integer bounds, clamping first gives the same
+    /// code, and the zero-point is still added after rounding (rounding
+    /// x / scale + zero_point instead differs: 0x1.fffffep-2 at
+    /// zero-point 7 is 7, not 8). The max comes first and maps a NaN to
+    /// the lower bound, so a NaN is code 0 without reaching the int cast
+    /// (a NaN cast is undefined). The clamped value lies within 2^22 of 0
+    /// (for bits <= 16 and a zero-point in [0, qmax], as every
+    /// constructor makes), where (c + 1.5·2^23) − 1.5·2^23 is nearbyint
+    /// in the default rounding mode: maxss, minss, addss, subss, with no
+    /// libm call and no branch.
     [[nodiscard]] std::int32_t quantize(float x) const {
-        const float q = std::nearbyint(x / scale) + static_cast<float>(zero_point);
-        if (!(q > 0.0f)) return 0;
-        return static_cast<std::int32_t>(std::min(q, static_cast<float>(qmax())));
+        const float lo = static_cast<float>(-zero_point);
+        const float hi = static_cast<float>(qmax() - zero_point);
+        const float c = std::min(std::max(lo, x / scale), hi);
+        const float r = (c + 0x1.8p23f) - 0x1.8p23f;
+        return static_cast<std::int32_t>(r) + zero_point;
     }
 
     [[nodiscard]] float dequantize(std::int64_t q) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -32,6 +33,22 @@ core::RequantJobConfig job_config(const DeviceConfig& config) {
 double ms_since(const std::chrono::steady_clock::time_point& t0) {
     return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/// A feasible build's timeline detail: the deployed method and, for full
+/// Algorithm 1, its eval accuracy and the images its search scored out of
+/// what scoring every method on every image would take.
+std::string feasible_detail(const core::ModelState& state, const ServeContext& ctx) {
+    std::string detail = std::string("feasible ") + quant::method_label(state.method);
+    if (state.eval_images_scored > 0) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), " %.1f%% (%d of %zu images)",
+                      100.0 * state.eval_accuracy, state.eval_images_scored,
+                      quant::all_methods().size() *
+                          static_cast<std::size_t>(ctx.eval_images->shape().n));
+        detail += buf;
+    }
+    return detail;
 }
 
 }  // namespace
@@ -65,6 +82,7 @@ NpuDevice::NpuDevice(int id, const ServeContext& ctx, const DeviceConfig& config
         metrics_.recuts = &reg.counter("raq_recuts_total", labels);
         metrics_.build_ms =
             &reg.histogram("raq_requant_build_ms", labels, obs::default_ms_buckets());
+        metrics_.eval_images = &reg.counter("raq_requant_eval_images_total", labels);
         metrics_.swap_us =
             &reg.histogram("raq_requant_swap_us", labels, obs::default_us_buckets());
         if (config.traffic_aging.enabled)
@@ -178,6 +196,7 @@ void NpuDevice::install(const std::shared_ptr<const core::ModelState>& state, bo
         if (telemetry_) {
             (recut ? metrics_.recuts : metrics_.requants)->add(1);
             metrics_.build_ms->observe(build_ms);
+            metrics_.eval_images->add(static_cast<std::uint64_t>(state->eval_images_scored));
             metrics_.swap_us->observe(swap_us);
             obs::ReliabilityEvent re;
             re.t_us = event.t_us;
@@ -210,7 +229,7 @@ void NpuDevice::execute_requant(double dvth_mv, std::uint64_t generation) {
         auto built = job_->build(dvth_mv, generation);
         if (built)
             outcome.state = std::make_shared<const core::ModelState>(std::move(*built));
-        detail = outcome.state ? "feasible" : "infeasible";
+        detail = outcome.state ? feasible_detail(*outcome.state, *ctx_) : "infeasible";
     } catch (const std::exception& e) {
         // A build that throws publishes like an infeasible one: the device
         // keeps serving its generation, adoption clears the in-flight gate,

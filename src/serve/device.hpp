@@ -257,6 +257,7 @@ private:
         obs::Counter* requants = nullptr;
         obs::Counter* recuts = nullptr;
         obs::Histogram* build_ms = nullptr;
+        obs::Counter* eval_images = nullptr;  ///< scored by adopted builds' searches
         obs::Histogram* swap_us = nullptr;
         obs::Gauge* duty_fraction = nullptr;  ///< traffic-aging mode only
     };

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "aging/aging_model.hpp"
 #include "cell/library.hpp"
 #include "core/aging_aware_quantizer.hpp"
@@ -7,10 +15,13 @@
 #include "core/lifetime.hpp"
 #include "core/requant_job.hpp"
 #include "data/synthetic_dataset.hpp"
+#include "ir/float_executor.hpp"
 #include "netlist/builders.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
+#include "quant/evaluate.hpp"
 #include "quant/methods.hpp"
+#include "quant/quant_executor.hpp"
 
 namespace {
 
@@ -285,6 +296,333 @@ TEST(RequantJobTest, BuildsVersionedStatesMatchingAlgorithmOne) {
                 << "conv op " << i << " weight_q " << q;
     }
     EXPECT_GT(convs, 0);
+}
+
+// ---- The method search's race against the natural-order loop ----------
+
+/// One race over synthetic per-image correctness (`correct[m][k]`: does
+/// method m classify eval image k correctly), recording every batch the
+/// race scores.
+struct SyntheticRace {
+    std::size_t winner = 0;
+    std::vector<core::RaceTally> tallies;
+    std::vector<std::pair<int, int>> batches;  ///< (start, count) in call order
+};
+
+SyntheticRace race(const std::vector<std::vector<int>>& correct, int pass) {
+    const int n = static_cast<int>(correct.front().size());
+    SyntheticRace r;
+    r.tallies.resize(correct.size());
+    r.winner = core::run_method_race(r.tallies, n, pass, [&](std::size_t m, int start, int count) {
+        r.batches.emplace_back(start, count);
+        int hits = 0;
+        for (int k = start; k < start + count; ++k)
+            hits += correct[m][static_cast<std::size_t>(k)];
+        return hits;
+    });
+    return r;
+}
+
+/// The natural-order loop's rule over final counts: the first method
+/// reaching `pass`, else the first with the most correct.
+std::size_t natural_order_choice(const std::vector<std::vector<int>>& correct, int pass) {
+    std::size_t best = 0;
+    int best_count = -1;
+    for (std::size_t m = 0; m < correct.size(); ++m) {
+        int count = 0;
+        for (const int c : correct[m]) count += c;
+        if (count >= pass) return m;
+        if (count > best_count) {
+            best = m;
+            best_count = count;
+        }
+    }
+    return best;
+}
+
+/// Per-image correctness with the given per-batch counts: the first
+/// `hits[b]` images of batch b are correct.
+std::vector<int> from_batches(const std::vector<int>& hits, int n) {
+    std::vector<int> row(static_cast<std::size_t>(n), 0);
+    for (std::size_t b = 0; b < hits.size(); ++b)
+        for (int k = 0; k < hits[b]; ++k)
+            row[b * core::kRaceBatch + static_cast<std::size_t>(k)] = 1;
+    return row;
+}
+
+TEST(MethodRace, ExactTiesGoToTheEarlierMethod) {
+    constexpr int kN = 300;
+    // All five tie at 150: the natural-order loop keeps M1.
+    std::vector<std::vector<int>> tied(5, from_batches({50, 50, 50}, kN));
+    tied[2] = from_batches({90, 30, 30}, kN);
+    const SyntheticRace all = race(tied, kN + 1);
+    EXPECT_EQ(all.winner, 0u);
+    EXPECT_EQ(all.tallies[0].scored, kN);
+    EXPECT_EQ(all.tallies[0].correct, 150);
+
+    // M2 and M4 tie for the most: M2, the earlier one, wins.
+    const std::vector<std::vector<int>> later_tie = {
+        from_batches({40, 40, 40}, kN), from_batches({60, 50, 50}, kN),
+        from_batches({10, 10, 10}, kN), from_batches({80, 40, 40}, kN),
+        from_batches({30, 30, 30}, kN)};
+    EXPECT_EQ(race(later_tie, kN + 1).winner, 1u);
+    EXPECT_EQ(natural_order_choice(later_tie, kN + 1), 1u);
+}
+
+TEST(MethodRace, AMethodThatCanAtBestTieIsNeverScoredToTheEnd) {
+    constexpr int kN = 300;
+    // M1 finishes with 200. M2's first batch leaves it a bound of exactly
+    // 200: it can at best tie, which M1 wins, so it is never finished.
+    const std::vector<std::vector<int>> correct = {
+        from_batches({70, 70, 60}, kN), from_batches({0, 100, 100}, kN),
+        from_batches({0, 0, 0}, kN), from_batches({0, 0, 0}, kN), from_batches({0, 0, 0}, kN)};
+    const SyntheticRace r = race(correct, kN + 1);
+    EXPECT_EQ(r.winner, 0u);
+    EXPECT_EQ(r.tallies[0].scored, kN);
+    EXPECT_EQ(r.tallies[1].scored, 100);
+    for (std::size_t m = 2; m < 5; ++m) EXPECT_EQ(r.tallies[m].scored, 100) << m;
+}
+
+TEST(MethodRace, ALaterMethodMeetingTheThresholdWinsWhileAnEarlierOneIsUnfinished) {
+    constexpr int kN = 300;
+    constexpr int kPass = 250;
+    // M1's first batch scores 0, so its bound (200) can no longer reach
+    // the threshold; M2 meets it (260) with M1 one batch in, and M3-M5,
+    // though perfect, are never scored: the first method meeting the
+    // threshold is chosen.
+    const std::vector<std::vector<int>> correct = {
+        from_batches({0, 100, 100}, kN), from_batches({100, 100, 60}, kN),
+        from_batches({100, 100, 100}, kN), from_batches({100, 100, 100}, kN),
+        from_batches({100, 100, 100}, kN)};
+    const SyntheticRace r = race(correct, kPass);
+    EXPECT_EQ(r.winner, 1u);
+    EXPECT_EQ(natural_order_choice(correct, kPass), 1u);
+    EXPECT_EQ(r.tallies[0].scored, 100);
+    EXPECT_EQ(r.tallies[1].scored, kN);
+    EXPECT_EQ(r.tallies[1].correct, 260);
+    for (std::size_t m = 2; m < 5; ++m) EXPECT_EQ(r.tallies[m].scored, 0) << m;
+    // Without the threshold, M3 (the first perfect method) wins instead.
+    EXPECT_EQ(race(correct, kN + 1).winner, 2u);
+}
+
+TEST(MethodRace, ScoresContiguousBatchesWhenNIsNotAMultipleOfTheBatch) {
+    for (const int n : {1, 42, 99, 100, 101, 250}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        std::vector<std::vector<int>> correct(5, std::vector<int>(static_cast<std::size_t>(n), 1));
+        correct[0].assign(static_cast<std::size_t>(n), 0);  // M1 drops out first
+        const SyntheticRace r = race(correct, n + 1);
+        EXPECT_EQ(r.winner, 1u);
+        EXPECT_EQ(r.tallies[1].correct, n);
+        // M2's batches tile [0, n): full batches, then one short one.
+        int next = 0;
+        for (const auto& [start, count] : r.batches) {
+            if (start == 0) next = 0;
+            EXPECT_EQ(start, next);
+            EXPECT_EQ(count, std::min(core::kRaceBatch, n - start));
+            next = start + count;
+        }
+        EXPECT_EQ(r.tallies[1].scored, n);
+    }
+}
+
+TEST(MethodRace, EveryMethodPerfectScoresOnlyTheFirst) {
+    constexpr int kN = 250;
+    const std::vector<std::vector<int>> perfect(5, std::vector<int>(kN, 1));
+    for (const int pass : {kN + 1, kN, 1}) {
+        const SyntheticRace r = race(perfect, pass);
+        EXPECT_EQ(r.winner, 0u) << pass;
+        EXPECT_EQ(r.tallies[0].scored, kN) << pass;
+        for (std::size_t m = 1; m < 5; ++m) EXPECT_EQ(r.tallies[m].scored, 0) << pass;
+    }
+}
+
+TEST(MethodRace, RandomCorrectnessAlwaysPicksTheNaturalOrderChoice) {
+    // Near-tied random methods at several sizes and thresholds: the race's
+    // winner, and its finished count, are the natural-order loop's.
+    std::mt19937 rng(7);
+    for (const int n : {1, 42, 100, 250, 500})
+        for (int trial = 0; trial < 60; ++trial) {
+            std::vector<std::vector<int>> correct(5, std::vector<int>(static_cast<std::size_t>(n)));
+            std::bernoulli_distribution p(std::uniform_real_distribution<double>(0.3, 0.7)(rng));
+            for (auto& row : correct)
+                for (auto& c : row) c = p(rng) ? 1 : 0;
+            const int pass = trial % 3 == 0 ? n + 1
+                                            : std::uniform_int_distribution<int>(0, n)(rng);
+            const SyntheticRace r = race(correct, pass);
+            const std::size_t want = natural_order_choice(correct, pass);
+            ASSERT_EQ(r.winner, want) << "n " << n << " trial " << trial;
+            int want_count = 0;
+            for (const int c : correct[want]) want_count += c;
+            ASSERT_EQ(r.tallies[want].scored, n);
+            ASSERT_EQ(r.tallies[want].correct, want_count);
+        }
+}
+
+/// The natural-order loop, kept as the race's reference: quantize every
+/// method in library order, score it on the whole eval set, and stop at
+/// the first one that meets the threshold.
+core::MethodSearchResult natural_order_search(const ir::Graph& graph,
+                                              const quant::QuantConfig& config,
+                                              const quant::CalibrationData& calib,
+                                              const tensor::Tensor& images,
+                                              const std::vector<int>& labels,
+                                              double fp32_accuracy,
+                                              std::optional<double> threshold) {
+    core::MethodSearchResult result;
+    bool have_best = false;
+    std::unique_ptr<quant::QuantRunner> runner;
+    for (const quant::Method method : quant::all_methods()) {
+        auto qgraph = std::make_shared<const quant::QuantizedGraph>(
+            quant::quantize_graph(graph, method, config, calib, runner.get()));
+        if (!runner)
+            runner = std::make_unique<quant::QuantRunner>(
+                qgraph, std::min(100, images.shape().n));
+        else
+            runner->rebind(qgraph);
+        const double acc = quant::quantized_accuracy(*runner, images, labels);
+        core::MethodOutcome outcome;
+        outcome.method = method;
+        outcome.images_scored = images.shape().n;
+        outcome.accuracy = acc;
+        outcome.accuracy_loss = 100.0 * (fp32_accuracy - acc);
+        result.all_methods.push_back(outcome);
+        result.images_scored += images.shape().n;
+        const bool meets = threshold && outcome.accuracy_loss <= *threshold;
+        if (!have_best || acc > result.accuracy || meets) {
+            result.accuracy = acc;
+            result.selected = method;
+            result.qgraph = std::move(qgraph);
+            have_best = true;
+        }
+        if (meets) break;
+    }
+    return result;
+}
+
+bool same_params(const quant::QuantParams& a, const quant::QuantParams& b) {
+    return a.scale == b.scale && a.zero_point == b.zero_point && a.bits == b.bits;
+}
+
+void expect_same_payload(const quant::QuantizedGraph& got, const quant::QuantizedGraph& want,
+                         const std::string& what) {
+    const auto& ops = want.graph().ops();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].kind != ir::OpKind::Conv2d) continue;
+        const quant::QConv& g = got.conv(i);
+        const quant::QConv& w = want.conv(i);
+        EXPECT_EQ(g.qweights, w.qweights) << what << " conv op " << i;
+        EXPECT_EQ(g.qbias, w.qbias) << what << " conv op " << i;
+        EXPECT_TRUE(same_params(g.act, w.act)) << what << " conv op " << i;
+        EXPECT_EQ(g.act_mask_bits, w.act_mask_bits) << what << " conv op " << i;
+        ASSERT_EQ(g.weight_q.size(), w.weight_q.size()) << what << " conv op " << i;
+        for (std::size_t q = 0; q < w.weight_q.size(); ++q)
+            EXPECT_TRUE(same_params(g.weight_q[q], w.weight_q[q])) << what << " conv op " << i;
+    }
+}
+
+void expect_same_outcomes(const std::vector<core::MethodOutcome>& got,
+                          const std::vector<core::MethodOutcome>& want, const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t m = 0; m < want.size(); ++m) {
+        EXPECT_EQ(got[m].method, want[m].method) << what << " entry " << m;
+        EXPECT_EQ(got[m].images_scored, want[m].images_scored) << what << " entry " << m;
+        // Bit-equal doubles, not merely close ones.
+        EXPECT_EQ(got[m].accuracy, want[m].accuracy) << what << " entry " << m;
+        EXPECT_EQ(got[m].accuracy_loss, want[m].accuracy_loss) << what << " entry " << m;
+    }
+}
+
+TEST_F(Selector, MethodRaceEqualsTheNaturalOrderLoopOnEveryZooTopology) {
+    // Untrained networks score near chance on random images and labels,
+    // so methods often tie. At two aging levels, with no threshold, with
+    // thresholds that the best or the median method just meets, and with
+    // one that none meets, the race (RequantJob's mode) and the report
+    // mode (AgingAwareQuantizer's) choose what the natural-order loop
+    // chooses: the same method, the same accuracy bits and the same
+    // deployed payload, and in report mode (through the quantizer, which
+    // calibrates and evaluates FP32 itself) the same full result. (Near
+    // chance, no method's bound falls below the winner's count before
+    // its last batch, so here the race saves few images; the MethodRace
+    // tests pin down what it skips.)
+    constexpr int kEval = 150;  // a full batch and a short one
+    constexpr int kCalib = 16;
+    const core::AgingAwareQuantizer quantizer(*selector_);
+    int races = 0;
+    for (const std::string& name : nn::all_networks()) {
+        const ir::Graph graph = nn::make_network(name).export_ir();  // untrained
+        const tensor::Shape in = graph.input_shape();
+        std::mt19937 rng(31);
+        std::uniform_real_distribution<float> pixel(-1.0f, 2.0f);
+        std::uniform_int_distribution<int> label(0, 9);
+        const auto random_set = [&](int n, std::vector<int>& labels) {
+            tensor::Tensor t({n, in.c, in.h, in.w});
+            for (auto& v : t.vec()) v = pixel(rng);
+            labels.resize(static_cast<std::size_t>(n));
+            for (int& l : labels) l = label(rng);
+            return t;
+        };
+        std::vector<int> eval_labels, calib_labels;
+        const tensor::Tensor eval_images = random_set(kEval, eval_labels);
+        const tensor::Tensor calib_images = random_set(kCalib, calib_labels);
+        const quant::CalibrationData calib = quant::calibrate(graph, calib_images, calib_labels);
+        const double fp32 = ir::float_accuracy(graph, eval_images, eval_labels);
+
+        for (const double dvth : {10.0, 50.0}) {
+            const auto choice = selector_->select(dvth);
+            ASSERT_TRUE(choice.has_value());
+            const quant::QuantConfig config =
+                quant::QuantConfig::from_compression(choice->compression);
+            const core::MethodSearchResult all =
+                natural_order_search(graph, config, calib, eval_images, eval_labels, fp32, {});
+            std::vector<double> losses;
+            for (const auto& outcome : all.all_methods) losses.push_back(outcome.accuracy_loss);
+            std::sort(losses.begin(), losses.end());
+            const std::optional<double> thresholds[] = {
+                std::nullopt, losses[0], losses[2], losses[0] - 0.1};
+
+            for (const std::optional<double>& threshold : thresholds) {
+                const std::string what =
+                    name + " @" + std::to_string(dvth) + " mV threshold " +
+                    (threshold ? std::to_string(*threshold) : std::string("none"));
+                const core::MethodSearchResult want =
+                    threshold ? natural_order_search(graph, config, calib, eval_images,
+                                                     eval_labels, fp32, threshold)
+                              : all;
+                const core::MethodSearchResult got = core::search_methods(
+                    graph, config, calib, eval_images, eval_labels, fp32, threshold, false);
+                EXPECT_EQ(got.selected, want.selected) << what;
+                EXPECT_EQ(got.accuracy, want.accuracy) << what;
+                ASSERT_NE(got.qgraph, nullptr) << what;
+                expect_same_payload(*got.qgraph, *want.qgraph, what);
+                ASSERT_EQ(got.all_methods.size(), want.all_methods.size()) << what;
+                int scored = 0;
+                for (const auto& outcome : got.all_methods) {
+                    scored += outcome.images_scored;
+                    if (outcome.images_scored < kEval) {
+                        EXPECT_EQ(outcome.accuracy, 0.0) << what;
+                    }
+                }
+                EXPECT_EQ(got.images_scored, scored) << what;
+                EXPECT_LE(got.images_scored, want.images_scored) << what;
+                ++races;
+
+                core::AagInputs inputs;
+                inputs.graph = &graph;
+                inputs.test_images = &eval_images;
+                inputs.test_labels = &eval_labels;
+                inputs.calib_images = &calib_images;
+                inputs.calib_labels = &calib_labels;
+                inputs.accuracy_loss_threshold = threshold;
+                const core::AagResult aag = quantizer.run(inputs, dvth);
+                EXPECT_EQ(aag.selected_method, want.selected) << what << " quantizer";
+                EXPECT_EQ(aag.fp32_accuracy, fp32) << what << " quantizer";
+                EXPECT_EQ(aag.quantized_accuracy, want.accuracy) << what << " quantizer";
+                EXPECT_EQ(aag.accuracy_loss, 100.0 * (fp32 - want.accuracy)) << what;
+                expect_same_outcomes(aag.all_methods, want.all_methods, what + " quantizer");
+            }
+        }
+    }
+    EXPECT_EQ(races, 13 * 2 * 4);
 }
 
 }  // namespace

@@ -1151,11 +1151,21 @@ TEST(ExecHandoff, WideAccumulatorWritesCodesOnEveryTier) {
     }
 }
 
+/// The quantize expression with libm's nearbyint, kept as the oracle of
+/// the branchless QuantParams::quantize and kernels_simd::quantize_code:
+/// clamp(nearbyint(x / scale) + zero_point, 0, qmax), a NaN giving 0.
+std::int32_t nearbyint_quantize(float x, const quant::QuantParams& p) {
+    const float q = std::nearbyint(x / p.scale) + static_cast<float>(p.zero_point);
+    if (!(q > 0.0f)) return 0;
+    return static_cast<std::int32_t>(std::min(q, static_cast<float>(p.qmax())));
+}
+
 TEST(ExecSimd, QuantizeKernelsMatchTheScalarExpressionOnEdgeValues) {
-    // Every tier's quantize_u8 and fused epilogue-to-codes kernel against
-    // the scalar expressions (quant::QuantParams::quantize, the masked
-    // code of the scalar epilogue's float) on NaN, ±inf, −0.0, exact .5
-    // ties and values past qmax·scale, at several bit widths and masks.
+    // Every tier's quantize_u8 and fused epilogue-to-codes kernel, and the
+    // scalar quantize_code and QuantParams::quantize, against the
+    // nearbyint expression (for the epilogue, the masked code of the
+    // scalar epilogue's float) on NaN, ±inf, −0.0, exact .5 ties and
+    // values past qmax·scale, at several bit widths and masks.
     constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
     constexpr float kInf = std::numeric_limits<float>::infinity();
     constexpr float kScale = 0.25f;
@@ -1181,12 +1191,14 @@ TEST(ExecSimd, QuantizeKernelsMatchTheScalarExpressionOnEdgeValues) {
                 kScale, qp.qmax(), static_cast<std::uint8_t>(0xFFu << mask_bits)};
             std::vector<std::uint8_t> want(x.size()), want_epi(x.size());
             for (std::size_t i = 0; i < x.size(); ++i) {
-                want[i] = static_cast<std::uint8_t>(qp.quantize(x[i])) & q.mask;
+                want[i] = static_cast<std::uint8_t>(nearbyint_quantize(x[i], qp)) & q.mask;
+                ASSERT_EQ(qp.quantize(x[i]), nearbyint_quantize(x[i], qp)) << x[i];
+                ASSERT_EQ(exec::kernels_simd::quantize_code(x[i], q), want[i]) << x[i];
                 const std::int64_t corrected =
                     std::int64_t{acc[i]} - std::int64_t{2} * colsum[i] + 1;
-                want_epi[i] =
-                    static_cast<std::uint8_t>(qp.quantize(static_cast<float>(corrected) * 0.125f)) &
-                    q.mask;
+                want_epi[i] = static_cast<std::uint8_t>(nearbyint_quantize(
+                                  static_cast<float>(corrected) * 0.125f, qp)) &
+                              q.mask;
             }
             for (const auto tier : exec::kernels_simd::available_tiers()) {
                 const std::string at = std::string(exec::kernels_simd::tier_name(tier)) +
@@ -1199,6 +1211,53 @@ TEST(ExecSimd, QuantizeKernelsMatchTheScalarExpressionOnEdgeValues) {
                     std::fill(got.begin(), got.end(), 0xA5);
                     epi(acc.data(), colsum.data(), acc.size(), 2, 1, 0.125f, q, got.data());
                     EXPECT_EQ(got, want_epi) << at << " epilogue";
+                }
+            }
+        }
+    // Weights add the zero-point after rounding: x / scale just below
+    // 0.5 at zero-point 7 is code 7 (rounding x / scale + 7 would give 8).
+    EXPECT_EQ((quant::QuantParams{1.0f, 7, 8}.quantize(0x1.fffffep-2f)), 7);
+}
+
+TEST(ExecSimd, QuantizersMatchNearbyintOnAStridedSweepOfEveryBitPattern) {
+    // One float in every 9,973 bit patterns (all signs and exponents,
+    // NaNs and infinities among them), at 3, 4, 6 and 8 bits, four scales
+    // and masks 0 and 2: quantize_code and every tier's quantize_u8
+    // against the nearbyint expression at zero-point 0, and
+    // QuantParams::quantize at zero-points 0, 7, mid-range and qmax.
+    std::vector<float> x;
+    for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 9973) {
+        const auto bits = static_cast<std::uint32_t>(b);
+        float v = 0.0f;
+        std::memcpy(&v, &bits, sizeof v);
+        x.push_back(v);
+    }
+    for (const int bits : {3, 4, 6, 8})
+        for (const float scale : {0.25f, 0.1f, 3.7f, 1e-3f}) {
+            const std::string at = "bits " + std::to_string(bits) + " scale " +
+                                   std::to_string(scale);
+            for (const std::int32_t zp : {0, 7, 1 << (bits - 1), (1 << bits) - 1}) {
+                const quant::QuantParams qp{scale, zp, bits};
+                for (const float v : x)
+                    ASSERT_EQ(qp.quantize(v), nearbyint_quantize(v, qp))
+                        << at << " zero-point " << zp << " x " << v;
+            }
+            const quant::QuantParams qp{scale, 0, bits};
+            for (const int mask_bits : {0, 2}) {
+                const exec::kernels_simd::CodeParams q{
+                    scale, qp.qmax(), static_cast<std::uint8_t>(0xFFu << mask_bits)};
+                std::vector<std::uint8_t> want(x.size());
+                for (std::size_t i = 0; i < x.size(); ++i) {
+                    want[i] = static_cast<std::uint8_t>(nearbyint_quantize(x[i], qp)) & q.mask;
+                    ASSERT_EQ(exec::kernels_simd::quantize_code(x[i], q), want[i])
+                        << at << " mask " << mask_bits << " x " << x[i];
+                }
+                for (const auto tier : exec::kernels_simd::available_tiers()) {
+                    std::vector<std::uint8_t> got(x.size(), 0xA5);
+                    exec::kernels_simd::quantize_u8_kernel(tier)(x.data(), x.size(), q,
+                                                                 got.data());
+                    EXPECT_EQ(got, want) << at << " mask " << mask_bits << " "
+                                         << exec::kernels_simd::tier_name(tier);
                 }
             }
         }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <map>
 #include <string>
@@ -513,6 +514,65 @@ TEST_F(Serve, ThrowingBackgroundBuildKeepsTheDeviceServing) {
         if (event.kind == obs::EventKind::RequantBuild && event.detail.rfind("failed: ", 0) == 0)
             ++failed_builds;
     EXPECT_GE(failed_builds, 1);
+}
+
+TEST_F(Serve, BackgroundBuildCountsTheEvalImagesItsSearchScored) {
+    // A telemetry-on full-Algorithm-1 device that crosses its requant
+    // threshold once: raq_requant_eval_images_total rises by exactly the
+    // eval images the adopted build's method search scored (at most 5x
+    // the eval set, at least the winner's full pass), and the build's
+    // timeline event names the deployed method, its accuracy and count.
+    constexpr int kRequests = 48;
+    serve::ServeConfig cfg;
+    cfg.num_devices = 1;
+    cfg.num_workers = 1;
+    cfg.max_batch = 4;
+    cfg.background_requant = true;
+    cfg.device.full_algorithm1 = true;
+    cfg.device.requant_threshold_mv = 2.0;  // crossed at 2 mV, next at ~4
+    cfg.telemetry.metrics = true;
+    {
+        serve::NpuServer probe(context(), cfg);
+        const auto& dev = probe.device(0);
+        const double busy_hours_per_request =
+            static_cast<double>(dev.per_image_cycles()) * dev.clock_period_ps() * 1e-12 /
+            3600.0;
+        cfg.device.age_acceleration =
+            aging_->years_for_dvth(3.0) * 8760.0 / (kRequests * busy_hours_per_request);
+        probe.shutdown();
+    }
+    serve::NpuServer server(context(), cfg);
+    std::vector<std::future<serve::InferenceResult>> futures;
+    futures.reserve(kRequests);
+    for (int i = 0; i < kRequests; ++i) futures.push_back(server.submit(test_image(i % 100)));
+    for (auto& f : futures) (void)f.get();
+    server.shutdown();
+
+    const auto state = server.device(0).deployed_state();
+    ASSERT_NE(state, nullptr);
+    ASSERT_EQ(state->generation, 2u);
+    const int eval_n = eval_images_->shape().n;
+    EXPECT_GE(state->eval_images_scored, eval_n);
+    EXPECT_LE(state->eval_images_scored, 5 * eval_n);
+    const obs::Counter* scored = server.telemetry()->metrics().find_counter(
+        "raq_requant_eval_images_total", {{"device", "0"}});
+    ASSERT_NE(scored, nullptr);
+    EXPECT_EQ(scored->value(), static_cast<std::uint64_t>(state->eval_images_scored));
+
+    char accuracy[32];
+    std::snprintf(accuracy, sizeof(accuracy), "%.1f%%", 100.0 * state->eval_accuracy);
+    const std::string want = std::string("feasible ") + quant::method_label(state->method) +
+                             " " + accuracy + " (" +
+                             std::to_string(state->eval_images_scored) + " of " +
+                             std::to_string(5 * eval_n) + " images)";
+    int builds = 0;
+    for (const obs::ReliabilityEvent& event : server.telemetry()->timeline().snapshot())
+        if (event.kind == obs::EventKind::RequantBuild) {
+            ++builds;
+            EXPECT_EQ(event.generation, 2u);
+            EXPECT_EQ(event.detail, want);
+        }
+    EXPECT_EQ(builds, 1);
 }
 
 TEST_F(Serve, SampleAccuracyRefusesAnEvalSetWithFewerLabelsThanSamples) {
