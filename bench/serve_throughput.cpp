@@ -547,12 +547,12 @@ int main(int argc, char** argv) try {
     const double end_dvth_mv = 6.0;  // two crossings (2.5, 5.0) per pass
     const auto pace = std::chrono::microseconds(3000);
 
-    const tensor::Tensor eval_images = bench.cache.dataset().test_batch(0, 32);
-    const std::vector<int> eval_labels(bench.test_labels.begin(),
-                                       bench.test_labels.begin() + 32);
+    // The full 500-image eval set, as offline Algorithm 1 uses: on a
+    // small slice the method race ends after M1 scores every image, and
+    // an inline build no longer stalls the device long enough to measure.
     serve::ServeContext stall_ctx = ctx;
-    stall_ctx.eval_images = &eval_images;
-    stall_ctx.eval_labels = &eval_labels;
+    stall_ctx.eval_images = &bench.test_images;
+    stall_ctx.eval_labels = &bench.test_labels;
 
     std::vector<tensor::Tensor> stall_images;
     stall_images.reserve(static_cast<std::size_t>(stall_requests));
@@ -576,7 +576,7 @@ int main(int argc, char** argv) try {
     std::printf("requant-stall: %d paced requests (%.1f ms apart), threshold %.1f mV,\n"
                 "full Algorithm 1 per re-quantization (eval on %d samples)\n\n",
                 stall_requests, 1e-3 * static_cast<double>(pace.count()), threshold_mv,
-                eval_images.shape().n);
+                bench.test_images.shape().n);
 
     const StallReport inline_run = run_stall_scenario(
         stall_ctx, stall_images, /*background=*/false, threshold_mv, acceleration, pace);

@@ -106,23 +106,20 @@ MethodSearchResult search_methods(const ir::Graph& graph, const quant::QuantConf
     const int pass = threshold_count(n, fp32_accuracy, accuracy_loss_threshold);
     std::vector<RaceTally> tallies(methods.size());
     const std::size_t winner = run_method_race(tallies, n, pass, score);
-    // The natural-order loop scores methods 0 through the winner when it
-    // meets the threshold (no earlier method does), else all of them.
-    const std::size_t last = tallies[winner].correct >= pass ? winner : methods.size() - 1;
-    if (report_all)
-        for (std::size_t i = 0; i <= last; ++i)
-            while (tallies[i].scored < n) score_next(tallies, i, n, score);
 
     MethodSearchResult result;
-    for (std::size_t i = 0; i <= last; ++i) {
-        MethodOutcome outcome;
-        outcome.method = methods[i];
-        outcome.images_scored = tallies[i].scored;
-        if (tallies[i].scored == n) {
+    if (report_all) {
+        // The natural-order loop scores methods 0 through the winner when
+        // it meets the threshold (no earlier method does), else all of them.
+        const std::size_t last = tallies[winner].correct >= pass ? winner : methods.size() - 1;
+        for (std::size_t i = 0; i <= last; ++i) {
+            while (tallies[i].scored < n) score_next(tallies, i, n, score);
+            MethodOutcome outcome;
+            outcome.method = methods[i];
             outcome.accuracy = accuracy_of(tallies[i].correct, n);
             outcome.accuracy_loss = loss_of(fp32_accuracy, outcome.accuracy);
+            result.all_methods.push_back(outcome);
         }
-        result.all_methods.push_back(outcome);
     }
     for (const RaceTally& t : tallies) result.images_scored += t.scored;
     result.selected = methods[winner];

@@ -34,11 +34,8 @@ namespace raq::core {
 /// One PTQ method inside the Algorithm 1 search.
 struct MethodOutcome {
     quant::Method method;
-    /// Eval images this method was scored on. Fewer than the eval set
-    /// means the race left it unfinished, and its accuracy is unknown.
-    int images_scored = 0;
-    double accuracy = 0.0;       ///< correct / N; 0 until every image is scored
-    double accuracy_loss = 0.0;  ///< vs. FP32, in percentage points; 0 likewise
+    double accuracy = 0.0;       ///< correct / N, on the whole eval set
+    double accuracy_loss = 0.0;  ///< vs. FP32, in percentage points
 };
 
 struct MethodSearchResult {
@@ -46,9 +43,10 @@ struct MethodSearchResult {
     double accuracy = 0.0;  ///< of the selected method
     /// The selected method's graph, exactly as the search built and scored it.
     std::shared_ptr<const quant::QuantizedGraph> qgraph;
-    /// The methods the natural-order loop scores, in library order: 0
-    /// through the winner when it meets the threshold, else all five.
-    /// Every one is finished in report mode; in race mode some may not be.
+    /// Report mode only (empty in race mode, which leaves methods
+    /// unfinished): the methods the natural-order loop scores, in library
+    /// order, 0 through the winner when it meets the threshold, else all
+    /// five.
     std::vector<MethodOutcome> all_methods;
     int images_scored = 0;  ///< eval images scored, summed over the methods
 };
@@ -94,8 +92,8 @@ using RaceScoreFn = std::function<int(std::size_t method, int start, int count)>
 /// needs: a method is quantized when first picked, and one QuantRunner
 /// at batch capacity min(kRaceBatch, N) is rebound at every switch
 /// between methods. In report mode (`report_all`) the search then
-/// finishes the methods the natural-order loop scores, so every entry of
-/// `all_methods` carries its accuracy; the serving build does not.
+/// finishes the methods the natural-order loop scores and reports each
+/// in `all_methods`; the serving build does not, and gets it empty.
 [[nodiscard]] MethodSearchResult search_methods(
     const ir::Graph& graph, const quant::QuantConfig& config,
     const quant::CalibrationData& calib, tensor::TensorView eval_images,

@@ -482,7 +482,6 @@ core::MethodSearchResult natural_order_search(const ir::Graph& graph,
         const double acc = quant::quantized_accuracy(*runner, images, labels);
         core::MethodOutcome outcome;
         outcome.method = method;
-        outcome.images_scored = images.shape().n;
         outcome.accuracy = acc;
         outcome.accuracy_loss = 100.0 * (fp32_accuracy - acc);
         result.all_methods.push_back(outcome);
@@ -525,7 +524,6 @@ void expect_same_outcomes(const std::vector<core::MethodOutcome>& got,
     ASSERT_EQ(got.size(), want.size()) << what;
     for (std::size_t m = 0; m < want.size(); ++m) {
         EXPECT_EQ(got[m].method, want[m].method) << what << " entry " << m;
-        EXPECT_EQ(got[m].images_scored, want[m].images_scored) << what << " entry " << m;
         // Bit-equal doubles, not merely close ones.
         EXPECT_EQ(got[m].accuracy, want[m].accuracy) << what << " entry " << m;
         EXPECT_EQ(got[m].accuracy_loss, want[m].accuracy_loss) << what << " entry " << m;
@@ -594,15 +592,9 @@ TEST_F(Selector, MethodRaceEqualsTheNaturalOrderLoopOnEveryZooTopology) {
                 EXPECT_EQ(got.accuracy, want.accuracy) << what;
                 ASSERT_NE(got.qgraph, nullptr) << what;
                 expect_same_payload(*got.qgraph, *want.qgraph, what);
-                ASSERT_EQ(got.all_methods.size(), want.all_methods.size()) << what;
-                int scored = 0;
-                for (const auto& outcome : got.all_methods) {
-                    scored += outcome.images_scored;
-                    if (outcome.images_scored < kEval) {
-                        EXPECT_EQ(outcome.accuracy, 0.0) << what;
-                    }
-                }
-                EXPECT_EQ(got.images_scored, scored) << what;
+                // Race mode reports no per-method accuracy: some are unfinished.
+                EXPECT_TRUE(got.all_methods.empty()) << what;
+                EXPECT_GE(got.images_scored, kEval) << what;
                 EXPECT_LE(got.images_scored, want.images_scored) << what;
                 ++races;
 
